@@ -1,17 +1,16 @@
-// Ablation (extension): lossy upload compression versus accuracy and
-// traffic, on top of the sparse uploading the paper proposes. fp16 halves
-// and int8 quarters the upload bytes; the question the table answers is
-// how much Byzantine-robust accuracy that costs (expected: almost none —
-// quantization noise is tiny relative to SGD noise, and the trimmed-mean
-// filter is insensitive to per-coordinate jitter).
+// Ablation (extension): lossy wire encodings versus accuracy and traffic,
+// on top of the sparse uploading the paper proposes. fp16 halves and int8
+// quarters the model bytes in both directions; the question the table
+// answers is how much Byzantine-robust accuracy that costs (expected:
+// almost none — quantization noise is tiny relative to SGD noise, and the
+// trimmed-mean filter is insensitive to per-coordinate jitter).
 
 #include "common.h"
 
 int main(int argc, char** argv) {
   using namespace fedms;
   core::CliFlags flags(
-      "ablation_compression: upload codec (none/fp16/int8) vs accuracy and "
-      "uplink bytes");
+      "ablation_compression: wire encoding vs accuracy and total bytes");
   benchcommon::add_common_flags(flags);
   flags.add_string("attack", "noise", "attack on Byzantine PSs");
   flags.add_double("eps", 0.2, "fraction of Byzantine PSs");
@@ -26,34 +25,10 @@ int main(int argc, char** argv) {
   base.client_filter = "trmean:0.2";
   fl::WorkloadConfig workload = benchcommon::workload_from_flags(flags);
 
-  std::printf("# Upload-compression ablation — %s\n",
-              base.to_string().c_str());
-  metrics::Table table({"codec", "final_accuracy", "uplink KB/round",
-                        "relative uplink"});
-  double baseline_bytes = 0.0;
-  for (const char* codec : {"none", "fp16", "int8"}) {
-    fl::FedMsConfig fed = base;
-    fed.upload_compression = codec;
-    const fl::RunResult result = fl::run_experiment(workload, fed);
-    const double bytes_per_round =
-        double(result.uplink_total.bytes) / double(result.rounds.size());
-    if (baseline_bytes == 0.0) baseline_bytes = bytes_per_round;
-    table.add_row(
-        {codec, metrics::Table::fmt(*result.final_eval().eval_accuracy, 3),
-         metrics::Table::fmt(bytes_per_round / 1e3, 1),
-         metrics::Table::fmt(bytes_per_round / baseline_bytes, 2) + "x"});
-  }
-  table.print(std::cout);
-  std::printf(
-      "\n# Expected shape: accuracy flat across codecs; uplink bytes "
-      "~0.5x (fp16) and ~0.26x (int8).\n");
-
-  // ---- Accuracy vs bytes for the negotiated wire encodings. Unlike the
-  // legacy upload codec above (uplink only), a wire encoding compresses
-  // both directions and the stateful variants (delta, top-k) chain
-  // per-link reference models — so the interesting axis is TOTAL traffic
-  // against final accuracy.
-  std::printf("\n# Wire-encoding accuracy-vs-bytes sweep — %s\n",
+  // A wire encoding compresses both directions and the stateful variants
+  // (delta, top-k) chain per-link reference models — so the interesting
+  // axis is TOTAL traffic against final accuracy.
+  std::printf("# Wire-encoding accuracy-vs-bytes sweep — %s\n",
               base.to_string().c_str());
   metrics::Table wire_table({"wire-encoding", "final_accuracy",
                              "total KB/round", "relative bytes",

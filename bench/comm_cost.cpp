@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   metrics::Table wire_table(
       {"encoding", "measured B/round", "accounted B/round", "vs f32",
        "max |err|"});
-  const transport::FrameCodec codec("none");
+  const transport::FrameCodec codec;
   double f32_bytes_per_round = 0.0;
   const char* encodings[] = {"f32",       "fp16",      "int8",
                              "topk:0.25", "delta+int8"};

@@ -41,19 +41,24 @@ void BM_NetworkSendDrain(benchmark::State& state) {
                           std::int64_t(clients));
 }
 
-void bm_codec(benchmark::State& state, const char* name) {
-  const auto codec = fl::make_codec(name);
+void bm_codec(benchmark::State& state, const fl::PayloadCodec& codec) {
   const std::vector<float> payload =
       payload_of(std::size_t(state.range(0)));
   for (auto _ : state)
-    benchmark::DoNotOptimize(codec->decode(codec->encode(payload)));
+    benchmark::DoNotOptimize(codec.decode(codec.encode(payload)));
   state.SetBytesProcessed(std::int64_t(state.iterations()) *
                           std::int64_t(payload.size()) * 4);
 }
 
-void BM_CodecIdentity(benchmark::State& state) { bm_codec(state, "none"); }
-void BM_CodecFp16(benchmark::State& state) { bm_codec(state, "fp16"); }
-void BM_CodecInt8(benchmark::State& state) { bm_codec(state, "int8"); }
+void BM_CodecIdentity(benchmark::State& state) {
+  bm_codec(state, fl::IdentityCodec());
+}
+void BM_CodecFp16(benchmark::State& state) {
+  bm_codec(state, fl::Fp16Codec());
+}
+void BM_CodecInt8(benchmark::State& state) {
+  bm_codec(state, fl::Int8Codec());
+}
 
 }  // namespace
 

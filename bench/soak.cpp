@@ -115,7 +115,7 @@ int run_swarm(const transport::SocketAddress& address, std::size_t clients,
     return 1;
   }
   const bool wired = !wire_spec.is_f32();
-  const transport::FrameCodec codec("none");
+  const transport::FrameCodec codec;
   const net::NodeId server = net::server_id(0);
   // Per-client wire streams, one each way (upload encode / broadcast
   // decode), mirroring the per-connection channels of the real client.

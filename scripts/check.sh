@@ -99,7 +99,7 @@ if [[ $fast -eq 0 ]]; then
 fi
 
 echo "== configure + build (RelWithDebInfo) =="
-cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFEDMS_WERROR=ON
 cmake --build "$build" -j "$jobs"
 
 echo "== ctest -L unit (fast pre-stage) =="

@@ -31,7 +31,6 @@ EventLoopServer::EventLoopServer(const net::NodeId& self,
                                  const EventLoopOptions& options)
     : self_(self),
       options_(options),
-      codec_(options.payload_codec),
       reactor_(options.backend) {}
 
 std::unique_ptr<EventLoopServer> EventLoopServer::listen(

@@ -53,8 +53,6 @@
 namespace fedms::eventloop {
 
 struct EventLoopOptions {
-  // Session payload codec — must match the run's upload_compression.
-  std::string payload_codec = "none";
   Reactor::Backend backend = Reactor::default_backend();
   // Per-connection send-queue high-water mark; 0 = unbounded.
   std::size_t max_queue_bytes = std::size_t(4) << 20;

@@ -21,7 +21,6 @@
 #include "nn/checkpoint.h"
 #include "nn/classifier.h"
 #include "nn/conv_layers.h"
-#include "nn/dropout.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"

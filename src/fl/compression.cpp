@@ -224,12 +224,4 @@ std::vector<float> Int8Codec::decode(
   return values;
 }
 
-PayloadCodecPtr make_codec(const std::string& name) {
-  if (name == "none") return std::make_unique<IdentityCodec>();
-  if (name == "fp16") return std::make_unique<Fp16Codec>();
-  if (name == "int8") return std::make_unique<Int8Codec>();
-  FEDMS_EXPECTS(!"unknown codec name");
-  return nullptr;
-}
-
 }  // namespace fedms::fl

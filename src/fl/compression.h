@@ -1,7 +1,8 @@
-// Lossy payload compression for model uploads (extension).
+// Lossy payload codecs: the stateless bases of the negotiated wire
+// encodings (fl/wire_encoding.h).
 //
 // The paper's sparse uploading keeps the *number* of uploads at K; codecs
-// here additionally shrink each upload's bytes. Encoding is real (byte
+// here additionally shrink each payload's bytes. Encoding is real (byte
 // buffers, not simulated sizes): the traffic numbers the simulated network
 // reports are the size of the actual encoded payload, and the receiver
 // sees the actual decoded (lossy) values.
@@ -9,7 +10,7 @@
 //   none : float32 passthrough            (4 bytes/coordinate)
 //   fp16 : IEEE-754 binary16 round-trip   (2 bytes/coordinate)
 //   int8 : per-block max-abs linear quantization
-//          (1 byte/coordinate + one float scale per 256-value block)
+//          (1 byte/coordinate + one float scale per block)
 #pragma once
 
 #include <cstdint>
@@ -69,9 +70,6 @@ class Int8Codec final : public PayloadCodec {
  private:
   std::size_t block_size_;
 };
-
-// "none", "fp16", or "int8".
-PayloadCodecPtr make_codec(const std::string& name);
 
 // IEEE-754 binary16 conversions (round-to-nearest-even; overflow saturates
 // to ±inf, subnormals handled).

@@ -49,17 +49,9 @@ std::string FedMsConfig::check() const {
       participation_strategy != "highloss")
     return "--participation-strategy must be uniform or highloss, got \"" +
            participation_strategy + "\"";
-  if (upload_compression != "none" && upload_compression != "fp16" &&
-      upload_compression != "int8")
-    return "--compression must be none, fp16, or int8, got \"" +
-           upload_compression + "\"";
   if (const std::string error = check_wire_encoding(wire_encoding);
       !error.empty())
     return "--wire-encoding: " + error;
-  if (wire_encoding != "f32" && upload_compression != "none")
-    return "--wire-encoding \"" + wire_encoding +
-           "\" cannot be combined with --compression \"" +
-           upload_compression + "\" (pick one payload codec)";
   if (dp_clip_norm < 0.0) return "--dp-clip must be >= 0";
   if (dp_noise_multiplier < 0.0) return "--dp-noise must be >= 0";
   // Noise without clipping has unbounded sensitivity — reject it.

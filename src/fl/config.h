@@ -50,15 +50,10 @@ struct FedMsConfig {
   // the paper's reference [19]). First round falls back to uniform.
   std::string participation_strategy = "uniform";
 
-  // --- payload compression (extension) ---
-  // Lossy codec applied to model uploads: none | fp16 | int8. The receiver
-  // aggregates the decoded values; traffic stats count the encoded bytes.
-  std::string upload_compression = "none";
-
   // --- negotiated wire encoding (src/fl/wire_encoding.h) ---
   // Applied to every model payload in both directions: f32 (lossless
-  // default), fp16, int8, delta+<base>, or topk:<frac>. Mutually
-  // exclusive with upload_compression (the legacy upload-only codec).
+  // default), fp16, int8, delta+<base>, or topk:<frac>. The receiver
+  // aggregates the decoded values; traffic stats count the encoded bytes.
   std::string wire_encoding = "f32";
 
   // --- differential privacy (extension; the §II DP defense family) ---

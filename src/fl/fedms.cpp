@@ -80,8 +80,6 @@ FedMsRun::FedMsRun(FedMsConfig config, std::vector<LearnerPtr> learners)
       client_attack_rngs_.push_back(seeds.make_rng("client-attack", k));
   }
   participation_rng_ = seeds.make_rng("participation");
-  if (config_.upload_compression != "none")
-    upload_codec_ = make_codec(config_.upload_compression);
   FEDMS_EXPECTS(
       parse_wire_encoding(config_.wire_encoding, &wire_spec_).empty());
   if (!wire_spec_.is_f32()) {
@@ -236,15 +234,6 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
         payload[j] = value;
       }
     }
-    std::size_t encoded_bytes = 0;
-    if (upload_codec_) {
-      // Lossy round-trip: the PS aggregates what the codec can deliver,
-      // and the network bills the encoded size.
-      const std::vector<std::uint8_t> encoded =
-          upload_codec_->encode(payload);
-      encoded_bytes = encoded.size();
-      payload = upload_codec_->decode(encoded);
-    }
     for (std::size_t i = 0; i < targets.size(); ++i) {
       net::Message m;
       m.from = net::client_id(k);
@@ -263,7 +252,6 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
       } else {
         // Copy for all but the last target; move the final one.
         m.payload = (i + 1 == targets.size()) ? std::move(payload) : payload;
-        m.encoded_bytes = encoded_bytes;
       }
       uploads.push_back(std::move(m));
     }

@@ -22,7 +22,6 @@
 #include "byz/client_attacks.h"
 #include "core/thread_pool.h"
 #include "fl/aggregators.h"
-#include "fl/compression.h"
 #include "fl/config.h"
 #include "fl/learner.h"
 #include "fl/server.h"
@@ -108,7 +107,6 @@ class FedMsRun {
   std::vector<core::Rng> client_attack_rngs_;
   core::Rng participation_rng_;
   std::vector<double> last_losses_;  // per-client, for highloss selection
-  PayloadCodecPtr upload_codec_;  // nullptr -> uncompressed
   // Negotiated wire encoding (config.wire_encoding != "f32"): one stream
   // per directed link, mirroring the transport engine's channel keying —
   // upload channel (k→p) lives in wire_uplinks_[k] keyed by the PS id,

@@ -53,9 +53,9 @@ inline constexpr std::uint8_t kWireFormatDeltaFp16 = 5;
 inline constexpr std::uint8_t kWireFormatDeltaInt8 = 6;
 inline constexpr std::uint8_t kWireFormatCount = 7;
 
-// The wire int8 path quantizes in finer blocks than the legacy upload
-// codec (64 vs 256): model deltas have spikier per-block ranges, and the
-// extra scales cost 6% of the payload for a visibly tighter error bound.
+// The wire int8 path quantizes in finer blocks than Int8Codec's default
+// (64 vs 256): model deltas have spikier per-block ranges, and the extra
+// scales cost 6% of the payload for a visibly tighter error bound.
 inline constexpr std::size_t kWireInt8Block = 64;
 
 struct WireEncodingSpec {

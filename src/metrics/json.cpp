@@ -71,7 +71,7 @@ void write_run_json(std::ostream& os, const fl::FedMsConfig& config,
      << ", \"attack\": \"" << json_escape(config.attack) << '"'
      << ", \"byzantine_clients\": " << config.byzantine_clients
      << ", \"client_attack\": \"" << json_escape(config.client_attack) << '"'
-     << ", \"compression\": \"" << json_escape(config.upload_compression)
+     << ", \"wire_encoding\": \"" << json_escape(config.wire_encoding)
      << '"' << ", \"participation\": ";
   write_number(os, config.participation);
   os << ", \"seed\": " << config.seed << "},\n  \"rounds\": [";

@@ -44,8 +44,7 @@ struct Message {
   // Simulation paths may leave it empty: accounting only needs the size.
   std::vector<std::uint8_t> encoded;
   // Wire-encoding format tag stamped into the frame header's format byte
-  // when encoded_bytes > 0 (fl::kWireFormat*). 0 = raw float32 / legacy
-  // session-codec framing.
+  // when encoded_bytes > 0 (fl::kWireFormat*). 0 = raw float32.
   std::uint8_t wire_format = 0;
   // kHello only: the wire-encoding spec this peer wants its broadcasts
   // in, carried in the frame header's reserved bytes (<= 18 ASCII chars;

@@ -8,11 +8,9 @@ namespace fedms::nn {
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t padding,
-               core::Rng& rng, bool with_bias, ConvBackend backend)
+               core::Rng& rng, bool with_bias)
     : spec_{stride, padding},
       with_bias_(with_bias),
-      backend_(backend == ConvBackend::kAuto ? ConvBackend::kIm2col
-                                             : backend),
       weight_(Tensor::randn(
           {out_channels, in_channels, kernel, kernel}, rng, 0.0f,
           std::sqrt(2.0f / float(in_channels * kernel * kernel)))),
@@ -24,25 +22,16 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
 
 Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
-  return backend_ == ConvBackend::kIm2col
-             ? tensor::conv2d_forward_im2col(input, weight_, bias_, spec_)
-             : tensor::conv2d_forward(input, weight_, bias_, spec_);
+  return tensor::conv2d_forward_im2col(input, weight_, bias_, spec_);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   FEDMS_EXPECTS(cached_input_.numel() > 0);
-  if (backend_ == ConvBackend::kIm2col) {
-    // dW/db accumulate directly into the layer's gradient buffers — no
-    // temporary gradient tensors on the hot path.
-    return tensor::conv2d_backward_im2col_acc(cached_input_, weight_,
-                                              grad_output, spec_,
-                                              grad_weight_, grad_bias_);
-  }
-  auto grads = tensor::conv2d_backward(cached_input_, weight_, grad_output,
-                                       spec_);
-  tensor::add_inplace(grad_weight_, grads.grad_weight);
-  if (with_bias_) tensor::add_inplace(grad_bias_, grads.grad_bias);
-  return std::move(grads.grad_input);
+  // dW/db accumulate directly into the layer's gradient buffers — no
+  // temporary gradient tensors on the hot path.
+  return tensor::conv2d_backward_im2col_acc(cached_input_, weight_,
+                                            grad_output, spec_, grad_weight_,
+                                            grad_bias_);
 }
 
 void Conv2d::collect_params(std::vector<ParamRef>& out) {

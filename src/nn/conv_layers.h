@@ -9,28 +9,22 @@
 
 namespace fedms::nn {
 
-// Convolution implementation choice. kDirect is the readable reference;
-// kIm2col lowers onto the GEMM (several times faster; equivalence is
-// covered by tests). kAuto currently always picks im2col.
-enum class ConvBackend { kAuto, kDirect, kIm2col };
-
+// Lowers onto the GEMM via im2col; the direct tensor::conv2d_* loops stay
+// as the reference the equivalence and gradcheck tests compare against.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t stride, std::size_t padding,
-         core::Rng& rng, bool with_bias = true,
-         ConvBackend backend = ConvBackend::kAuto);
+         core::Rng& rng, bool with_bias = true);
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(std::vector<ParamRef>& out) override;
   std::string name() const override { return "Conv2d"; }
-  ConvBackend backend() const { return backend_; }
 
  private:
   tensor::Conv2dSpec spec_;
   bool with_bias_;
-  ConvBackend backend_;
   Tensor weight_;  // (out, in, k, k)
   Tensor bias_;    // (out) or empty
   Tensor grad_weight_;

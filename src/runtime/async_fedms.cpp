@@ -63,10 +63,15 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   FEDMS_EXPECTS(config_.byzantine_clients == 0);
   FEDMS_EXPECTS(config_.dp_clip_norm == 0.0);
   FEDMS_EXPECTS(config_.participation == 1.0);
-  // Wire encodings would need per-link channel state threaded through the
-  // event queue's retry/crash paths; CLI layers reject the combination
-  // with a friendlier one-liner before this fires.
-  FEDMS_EXPECTS(config_.wire_encoding == "f32");
+  // Only stateless wire encodings (f32, fp16, int8): delta and top-k
+  // would need per-link channel state threaded through the event queue's
+  // retry/crash paths. CLI layers reject them with a one-line error
+  // before this fires.
+  fl::WireEncodingSpec wire_spec;
+  FEDMS_EXPECTS(
+      fl::parse_wire_encoding(config_.wire_encoding, &wire_spec).empty());
+  FEDMS_EXPECTS(!wire_spec.stateful());
+  if (!wire_spec.is_f32()) wire_.emplace(wire_spec);
   // Uniform network loss is expressed as FaultPlan::drop_rate here.
   FEDMS_EXPECTS(config_.network_loss_rate == 0.0);
   for (const ServerCrash& crash : options_.faults.crashes)
@@ -118,8 +123,6 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   filter_ = fl::make_aggregator(config_.client_filter);
   quorum_ = options_.quorum(config_.byzantine, config_.client_filter);
   upload_ = fl::make_upload_strategy(config_.upload);
-  if (config_.upload_compression != "none")
-    upload_codec_ = fl::make_codec(config_.upload_compression);
   faults_ = FaultInjector(options_.faults, seeds.make_rng("fault-injector"));
 
   client_rngs_.reserve(config_.clients);
@@ -151,6 +154,16 @@ void AsyncFedMsRun::trace(std::uint64_t round, const std::string& event,
 void AsyncFedMsRun::trace_node(std::uint64_t round, const std::string& event,
                                const net::NodeId& node) {
   trace(round, event, node, node);
+}
+
+void AsyncFedMsRun::encode_for_wire(net::Message& message) {
+  if (!wire_) return;
+  // Sender-side round-trip, as in the synchronous loop: the receiver gets
+  // the decoded values and the link bills the encoded size.
+  fl::WireEncodeResult wire = wire_->encode(message.payload);
+  message.payload = std::move(wire.decoded);
+  message.encoded_bytes = wire.bytes.size();
+  message.wire_format = wire_->spec().format_tag();
 }
 
 void AsyncFedMsRun::send(net::Message message, std::uint64_t round,
@@ -233,6 +246,7 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
       // Byzantine PSs tamper retries too (fresh attack randomness).
       response.payload = servers_[s].disseminate(round, k);
       if (response.payload.empty()) return;  // crash-attack PS stays silent
+      encode_for_wire(response);
       send(std::move(response), round, [this, round, k, s](net::Message m) {
         ClientState& c = clients_[k];
         if (c.done) {
@@ -377,13 +391,6 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
       obs::Span upload_span("async", "upload", round, "client",
                             static_cast<std::int64_t>(k));
       std::vector<float> payload = learners_[k]->parameters();
-      std::size_t encoded_bytes = 0;
-      if (upload_codec_) {
-        const std::vector<std::uint8_t> encoded =
-            upload_codec_->encode(payload);
-        encoded_bytes = encoded.size();
-        payload = upload_codec_->decode(encoded);
-      }
       const auto targets = upload_->select_servers(
           k, round, config_.servers, client_rngs_[k]);
       FEDMS_ASSERT(!targets.empty());
@@ -395,7 +402,7 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
         m.kind = net::MessageKind::kModelUpload;
         m.round = round;
         m.payload = (i + 1 == targets.size()) ? std::move(payload) : payload;
-        m.encoded_bytes = encoded_bytes;
+        encode_for_wire(m);
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
           ServerState& state = server_states_[s];
           if (state.crashed) return;  // wasted upload
@@ -447,6 +454,7 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
         m.round = round;
         m.payload = servers_[s].disseminate(round, k);
         if (m.payload.empty()) continue;  // crash-attack PS stays silent
+        encode_for_wire(m);
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
           ClientState& client = clients_[k];
           if (client.done) {

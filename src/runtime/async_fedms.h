@@ -27,9 +27,13 @@
 // a given (seed, fault plan) replays bit-identically — the event-trace
 // hash in the result is the regression handle for that property.
 //
+// Wire encodings: the stateless fp16/int8 specs apply to every upload and
+// per-recipient broadcast, as in the synchronous loop.
+//
 // Unsupported extensions (sync-loop only, rejected at construction):
-// Byzantine clients, differential privacy, partial participation, and
-// `network_loss_rate` (subsumed by FaultPlan::drop_rate).
+// Byzantine clients, differential privacy, partial participation,
+// stateful wire encodings (delta, top-k), and `network_loss_rate`
+// (subsumed by FaultPlan::drop_rate).
 #pragma once
 
 #include <cstdint>
@@ -190,6 +194,9 @@ class AsyncFedMsRun {
   // schedules its delivery event(s). `deliver` runs per arriving copy.
   void send(net::Message message, std::uint64_t round,
             std::function<void(net::Message)> deliver);
+  // Applies the run's stateless wire encoding to a model message (no-op
+  // for f32).
+  void encode_for_wire(net::Message& message);
   void client_filter_deadline(std::size_t k, std::uint64_t round);
   void finish_client(std::size_t k, std::uint64_t round);
   void trace(std::uint64_t round, const std::string& event,
@@ -205,7 +212,7 @@ class AsyncFedMsRun {
   fl::AggregatorPtr filter_;
   std::size_t quorum_ = 1;
   fl::UploadStrategyPtr upload_;
-  fl::PayloadCodecPtr upload_codec_;  // nullptr -> uncompressed
+  std::optional<fl::WireChannel> wire_;  // stateless fp16/int8; unset = f32
   net::LatencyModel latency_;
   EventQueue queue_;
   FaultInjector faults_;

@@ -29,10 +29,6 @@ double Backoff::delay_seconds(std::size_t attempt) const {
   return initial_seconds * std::pow(multiplier, double(attempt));
 }
 
-std::size_t adaptive_trim_count(std::size_t received, double beta) {
-  return fl::beta_trim_count(beta, received);
-}
-
 bool trim_feasible(std::size_t received, std::size_t trim) {
   return received > 2 * trim;
 }

@@ -78,13 +78,6 @@ struct Backoff {
   }
 };
 
-// ⌊β·received⌋ (epsilon-floored; delegates to fl::beta_trim_count) — the
-// trim a *standalone* β implies for a set of the given size. Note this is
-// NOT what the runtime's client filter uses over degraded sets: when β is
-// coupled to B, fl::apply_client_filter trims min(B, ⌊(P'−1)/2⌋) so a
-// thinned candidate set never under-trims below B.
-std::size_t adaptive_trim_count(std::size_t received, double beta);
-
 // True when trimming `trim` per side leaves at least one survivor.
 bool trim_feasible(std::size_t received, std::size_t trim);
 

@@ -43,6 +43,8 @@ void write_async_run_json(std::ostream& os, const fl::FedMsConfig& config,
      << ", \"client_filter\": \""
      << metrics::json_escape(config.client_filter) << '"'
      << ", \"attack\": \"" << metrics::json_escape(config.attack) << '"'
+     << ", \"wire_encoding\": \""
+     << metrics::json_escape(config.wire_encoding) << '"'
      << ", \"seed\": " << config.seed << "},\n  \"options\": {"
      << "\"compute_seconds\": ";
   write_number(os, options.compute_seconds);

@@ -348,7 +348,7 @@ FuzzOutcome run_transport(const FuzzSchedule& schedule) {
       });
   const fl::RunResult sync_result = experiment.run->run();
 
-  transport::InMemoryHub hub(fed.upload_compression);
+  transport::InMemoryHub hub;
   hub.set_deterministic(true);
   const transport::TransportRunSummary summary =
       transport::run_transport_experiment(workload, fed, hub);

@@ -243,7 +243,7 @@ constexpr const char* kWireOracleEncodings[] = {
 // Rejection probes: corrupted scale/index metadata must come back as a
 // one-line error (no newline, non-empty), never as decoded floats.
 OracleResult check_wire_rejections(const fl::ModelVector& model) {
-  const transport::FrameCodec codec("none");
+  const transport::FrameCodec codec;
   const auto one_line = [](const std::string& text) {
     return !text.empty() && text.find('\n') == std::string::npos;
   };
@@ -333,7 +333,7 @@ OracleResult check_wire_rejections(const fl::ModelVector& model) {
 
 OracleResult check_wire_roundtrip(
     const std::vector<fl::ModelVector>& models) {
-  const transport::FrameCodec codec("none");
+  const transport::FrameCodec codec;
   for (const char* encoding : kWireOracleEncodings) {
     fl::WireEncodingSpec spec;
     const std::string parse_error =

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "core/contracts.h"
+#include "fl/compression.h"
 #include "fl/wire_encoding.h"
 
 namespace fedms::transport {
@@ -74,12 +75,6 @@ const Crc32cTable& crc_table() {
   return table;
 }
 
-PayloadFormat format_for_codec(const std::string& name) {
-  if (name == "fp16") return PayloadFormat::kFp16;
-  if (name == "int8") return PayloadFormat::kInt8;
-  return PayloadFormat::kRawFloat32;
-}
-
 // The fl layer's numeric format tags and this enum are the same values;
 // pin the overlap so neither can drift.
 static_assert(fl::kWireFormatRaw == std::uint8_t(PayloadFormat::kRawFloat32));
@@ -146,13 +141,8 @@ std::uint32_t crc32c_floats(const std::vector<float>& values) {
                 values.size() * sizeof(float));
 }
 
-FrameCodec::FrameCodec(const std::string& payload_codec)
-    : payload_codec_name_(payload_codec) {
-  if (payload_codec != "none") {
-    payload_codec_ = fl::make_codec(payload_codec);
-    compressed_format_ = format_for_codec(payload_codec);
-    FEDMS_EXPECTS(compressed_format_ != PayloadFormat::kRawFloat32);
-  }
+FrameCodec::FrameCodec(const std::string& session) {
+  FEDMS_EXPECTS(session == "none");
 }
 
 std::size_t FrameCodec::framed_size(const net::Message& message) {
@@ -173,33 +163,14 @@ void FrameCodec::encode_to(const net::Message& message,
   const std::size_t start = out.size();
   const bool compressed = message.encoded_bytes > 0;
 
-  // The compressed path ships the codec's output verbatim when the message
-  // carries it; otherwise re-encode the (already lossy-round-tripped)
-  // payload with the legacy session codec — for the shipped codecs
-  // re-encoding the decoded values is size-stable, which the contract
-  // below pins. Wire-channel messages (wire_format set) always carry the
-  // encoded bytes: stateful encodings cannot be re-derived here.
-  std::vector<std::uint8_t> reencoded;
-  const std::vector<std::uint8_t>* encoded = nullptr;
+  // Encoded messages carry their wire bytes, shipped verbatim: stateful
+  // encodings cannot be re-derived here.
   PayloadFormat format = PayloadFormat::kRawFloat32;
   if (compressed) {
-    if (message.wire_format != 0) {
-      FEDMS_EXPECTS(message.wire_format < kPayloadFormatCount);
-      FEDMS_EXPECTS(!message.encoded.empty());
-      format = static_cast<PayloadFormat>(message.wire_format);
-      encoded = &message.encoded;
-    } else {
-      FEDMS_EXPECTS(!message.payload.empty());
-      FEDMS_EXPECTS(payload_codec_ != nullptr);
-      format = compressed_format_;
-      if (!message.encoded.empty()) {
-        encoded = &message.encoded;
-      } else {
-        reencoded = payload_codec_->encode(message.payload);
-        encoded = &reencoded;
-      }
-    }
-    FEDMS_EXPECTS(encoded->size() == message.encoded_bytes);
+    FEDMS_EXPECTS(message.wire_format != 0 &&
+                  message.wire_format < kPayloadFormatCount);
+    FEDMS_EXPECTS(message.encoded.size() == message.encoded_bytes);
+    format = static_cast<PayloadFormat>(message.wire_format);
   }
 
   const std::uint64_t payload_len =
@@ -230,7 +201,7 @@ void FrameCodec::encode_to(const net::Message& message,
 
   std::uint8_t* payload = frame + net::kFrameHeaderBytes;
   if (compressed) {
-    std::memcpy(payload, encoded->data(), encoded->size());
+    std::memcpy(payload, message.encoded.data(), message.encoded.size());
   } else {
     put_u64(payload, message.payload.size());
     if (!message.payload.empty())
@@ -344,18 +315,15 @@ FrameCodec::DecodeResult FrameCodec::decode(const std::uint8_t* data,
   } else if (format == std::uint8_t(PayloadFormat::kFp16) ||
              format == std::uint8_t(PayloadFormat::kInt8)) {
     // Stateless quantized payload — self-describing, decodable without
-    // any session agreement. Prefer the session codec when it matches
-    // (the legacy upload-compression path); fall back to a static one.
+    // any session agreement.
     if (payload_len == 0) return fail(FrameError::kLengthMismatch);
     message.encoded.assign(payload, payload + payload_len);
     static const fl::Fp16Codec fp16_codec;
     static const fl::Int8Codec int8_codec;
     const fl::PayloadCodec* codec =
-        payload_codec_ != nullptr && format == std::uint8_t(compressed_format_)
-            ? payload_codec_.get()
-            : (format == std::uint8_t(PayloadFormat::kFp16)
-                   ? static_cast<const fl::PayloadCodec*>(&fp16_codec)
-                   : static_cast<const fl::PayloadCodec*>(&int8_codec));
+        format == std::uint8_t(PayloadFormat::kFp16)
+            ? static_cast<const fl::PayloadCodec*>(&fp16_codec)
+            : static_cast<const fl::PayloadCodec*>(&int8_codec);
     try {
       message.payload = codec->decode(message.encoded);
     } catch (const std::exception&) {

@@ -26,8 +26,7 @@
 // Payload section by format:
 //   kRawFloat32    : u64 value count + count×f32  (L = 8 + 4·count)
 //   kFp16/kInt8    : the fl::PayloadCodec's encoded buffer, verbatim —
-//                    self-describing, decodable by any session codec
-//                    (L = Message::encoded_bytes)
+//                    self-describing (L = Message::encoded_bytes)
 //   kTopK/kDelta*  : fl::wire_encoding stateful payload (flags byte,
 //                    reference CRC, then the top-k bitmap+values or the
 //                    base-codec diff buffer). decode() validates the
@@ -48,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "fl/compression.h"
 #include "net/message.h"
 
 namespace fedms::transport {
@@ -98,25 +96,21 @@ std::uint32_t crc32c_floats(const std::vector<float>& values);
 
 class FrameCodec {
  public:
-  // `payload_codec` is the session's legacy upload-compression spec
-  // ("none", "fp16", "int8") — used to (re-)encode messages that carry an
-  // encoded size but no encoded buffer. Decoding is self-describing: any
-  // codec decodes any frame (kFp16/kInt8 through stateless codecs,
-  // kTopK/kDelta* validated structurally and left for the receiver's
-  // fl::WireChannel).
-  explicit FrameCodec(const std::string& payload_codec = "none");
-
-  const std::string& payload_codec() const { return payload_codec_name_; }
+  // Stateless: decoding is self-describing (kFp16/kInt8 through the
+  // stateless codecs, kTopK/kDelta* validated structurally and left for
+  // the receiver's fl::WireChannel), so any codec decodes any frame.
+  FrameCodec() = default;
+  // Accepts only "none"; kept because the frozen perfbench harness
+  // constructs FrameCodec("none").
+  explicit FrameCodec(const std::string& session);
 
   // Total on-the-wire size encode() will produce — delegates to
   // net::wire_size, the shared accounting definition.
   static std::size_t framed_size(const net::Message& message);
 
-  // Serializes one frame. For compressed messages (encoded_bytes > 0) the
-  // encoded buffer is shipped verbatim when `message.encoded` carries it;
-  // otherwise the payload is re-encoded with the session codec (the sizes
-  // must agree — contract-checked). ENSURES the output size equals
-  // framed_size(message).
+  // Serializes one frame. Encoded messages (encoded_bytes > 0) must carry
+  // their wire_format and the encoded buffer, which is shipped verbatim.
+  // ENSURES the output size equals framed_size(message).
   std::vector<std::uint8_t> encode(const net::Message& message) const;
   void encode_to(const net::Message& message,
                  std::vector<std::uint8_t>& out) const;
@@ -140,10 +134,6 @@ class FrameCodec {
                                                std::size_t size,
                                                FrameError* error = nullptr);
 
- private:
-  std::string payload_codec_name_;
-  fl::PayloadCodecPtr payload_codec_;  // nullptr for "none"
-  PayloadFormat compressed_format_ = PayloadFormat::kRawFloat32;
 };
 
 }  // namespace fedms::transport

@@ -15,7 +15,6 @@
 #include "core/contracts.h"
 #include "core/rng.h"
 #include "fl/aggregators.h"
-#include "fl/compression.h"
 #include "fl/server.h"
 #include "fl/upload.h"
 #include "fl/wire_encoding.h"
@@ -187,9 +186,6 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
   const fl::UploadStrategyPtr upload = fl::make_upload_strategy(fed.upload);
   core::Rng ps_choice = seeds.make_rng("ps-choice", k);
   core::Rng participation_rng = seeds.make_rng("participation");
-  fl::PayloadCodecPtr codec;
-  if (fed.upload_compression != "none")
-    codec = fl::make_codec(fed.upload_compression);
 
   // Negotiated wire encoding: uploads are encoded per-target (one stream
   // per PS link, so delta/top-k references track what that PS decoded);
@@ -232,16 +228,6 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
             upload->select_servers(k, round, fed.servers, ps_choice);
         FEDMS_ASSERT(!targets.empty());
         std::vector<float> payload = learner->parameters();
-        std::size_t encoded_bytes = 0;
-        std::vector<std::uint8_t> encoded;
-        if (codec) {
-          // Lossy round-trip, same as the simulator: the PS aggregates what
-          // the codec can deliver; the wire ships the encoded buffer
-          // verbatim.
-          encoded = codec->encode(payload);
-          encoded_bytes = encoded.size();
-          payload = codec->decode(encoded);
-        }
         for (std::size_t i = 0; i < targets.size(); ++i) {
           net::Message m;
           m.from = report.self;
@@ -261,9 +247,6 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
           } else {
             m.payload =
                 (i + 1 == targets.size()) ? std::move(payload) : payload;
-            m.encoded_bytes = encoded_bytes;
-            m.encoded =
-                (i + 1 == targets.size()) ? std::move(encoded) : encoded;
           }
           transport.send(std::move(m));
         }

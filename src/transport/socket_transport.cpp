@@ -201,7 +201,6 @@ SocketTransport::SocketTransport(const net::NodeId& self,
                                  const SocketTransportOptions& options)
     : self_(self),
       options_(options),
-      codec_(options.payload_codec),
       corrupt_rng_(options.corrupt_seed) {}
 
 SocketTransport::~SocketTransport() {

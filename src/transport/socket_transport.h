@@ -64,8 +64,6 @@ int connect_with_retry(const SocketAddress& address,
                        const runtime::Backoff& backoff);
 
 struct SocketTransportOptions {
-  // Session payload codec — must match the run's upload_compression.
-  std::string payload_codec = "none";
   // Wire-encoding spec announced in our kHello frames (connect_mesh):
   // the encoding we want broadcasts to us in. "f32" = no announcement.
   std::string wire_encoding = "f32";

@@ -64,12 +64,7 @@ void EndpointStats::count_corrupt(const net::NodeId& peer) {
   received[peer].corrupt_frames += 1;
 }
 
-InMemoryHub::InMemoryHub(const std::string& payload_codec)
-    : corrupt_rng_(0) {
-  // The codec spec is validated eagerly (same contract as the socket
-  // backend) even though the hub never frames messages.
-  if (payload_codec != "none") (void)fl::make_codec(payload_codec);
-}
+InMemoryHub::InMemoryHub() : corrupt_rng_(0) {}
 
 InMemoryHub::~InMemoryHub() {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -99,7 +99,7 @@ class InMemoryTransport;
 // not outlive their hub.
 class InMemoryHub {
  public:
-  explicit InMemoryHub(const std::string& payload_codec = "none");
+  InMemoryHub();
   ~InMemoryHub();
 
   InMemoryHub(const InMemoryHub&) = delete;

@@ -15,8 +15,9 @@ import tempfile
 failures = []
 
 
-def expect_error(binary, args, needles):
-    """Run binary with args; require exit code 1 and all needles in stderr."""
+def expect_error(binary, args, needles, one_line=False):
+    """Run binary with args; require exit code 1 and all needles in stderr
+    (and, with one_line, a single-line stderr)."""
     proc = subprocess.run([binary] + args, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, timeout=60)
     err = proc.stderr.decode("utf-8", "replace")
@@ -26,6 +27,9 @@ def expect_error(binary, args, needles):
         failures.append("%s: expected exit code 1, got %d (stderr: %r)"
                         % (label, proc.returncode, err.strip()))
         return
+    if one_line and err.strip().count("\n") != 0:
+        failures.append("%s: expected a one-line error, got %r"
+                        % (label, err.strip()))
     combined = err + out
     for needle in needles:
         if needle not in combined:
@@ -184,12 +188,27 @@ def main():
                  ["--wire-encoding", "unknown wire encoding"])
     expect_error(node, ["--mode", "launch", "--wire-encoding", "topk:1.5"],
                  ["topk fraction must be in (0, 1]"])
-    # Invalid combinations: one payload codec at a time, wire streams need
-    # the sync engine, and stateful streams cannot absorb dropped frames.
-    expect_error(sim, ["--wire-encoding", "fp16", "--compression", "int8"],
-                 ["--wire-encoding", "cannot be combined"])
-    expect_error(sim, ["--wire-encoding", "int8", "--runtime", "async"],
-                 ["--wire-encoding", "requires --runtime sync"])
+    # The legacy upload codec is gone: its flag is unknown on both tools.
+    expect_error(sim, ["--compression", "int8"],
+                 ["unknown flag", "--compression"])
+    expect_error(node, ["--mode", "launch", "--compression", "int8"],
+                 ["unknown flag", "--compression"])
+    # Invalid combinations: stateful wire streams need the sync engine,
+    # and they cannot absorb dropped frames.
+    expect_error(sim, ["--wire-encoding", "delta+int8", "--runtime", "async"],
+                 ["--wire-encoding", "requires --runtime sync"], one_line=True)
+    # Extensions the event-driven engine does not model are CLI errors,
+    # not contract aborts.
+    expect_error(sim, ["--runtime", "async", "--dp-clip", "1"],
+                 ["--dp-clip requires --runtime sync"], one_line=True)
+    expect_error(sim, ["--runtime", "async", "--byzantine-clients", "2"],
+                 ["--byzantine-clients requires --runtime sync"],
+                 one_line=True)
+    expect_error(sim, ["--runtime", "async", "--participation", "0.5"],
+                 ["--participation", "requires --runtime sync"],
+                 one_line=True)
+    expect_error(sim, ["--runtime", "async", "--loss-rate", "0.1"],
+                 ["--loss-rate requires --runtime sync"], one_line=True)
     expect_error(node, ["--mode", "launch", "--wire-encoding", "delta+int8",
                         "--corrupt-rate", "0.1"],
                  ["--corrupt-rate", "desynchronize"])

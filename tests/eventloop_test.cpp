@@ -151,7 +151,7 @@ TEST_P(EventLoopBackends, HelloIdentifiesAndMessagesRoundTrip) {
   EventLoopOptions options;
   options.backend = GetParam();
   EventLoopServer server(net::server_id(0), options);
-  const transport::FrameCodec codec("none");
+  const transport::FrameCodec codec;
 
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -202,7 +202,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, EventLoopBackends,
 
 TEST(EventLoopServer, NonHelloFirstFrameClosesConnection) {
   EventLoopServer server(net::server_id(0), EventLoopOptions{});
-  const transport::FrameCodec codec("none");
+  const transport::FrameCodec codec;
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   server.adopt(fds[1]);
@@ -282,7 +282,7 @@ TEST(EventLoopServer, FullRunMatchesInMemoryBitForBit) {
   fed.eval_every = 1;
   fed.seed = 5;
 
-  transport::InMemoryHub hub(fed.upload_compression);
+  transport::InMemoryHub hub;
   const transport::TransportRunSummary reference =
       transport::run_transport_experiment(workload, fed, hub);
 

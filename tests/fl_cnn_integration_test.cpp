@@ -107,8 +107,8 @@ TEST_P(RandomConfig, AnyValidConfigRunsClean) {
   fed.client_filter = filters[rng.uniform_index(4)];
   const char* uploads[] = {"sparse", "full", "roundrobin", "multi:2"};
   fed.upload = uploads[rng.uniform_index(4)];
-  const char* codecs[] = {"none", "fp16", "int8"};
-  fed.upload_compression = codecs[rng.uniform_index(3)];
+  const char* encodings[] = {"f32", "fp16", "int8"};
+  fed.wire_encoding = encodings[rng.uniform_index(3)];
   fed.network_loss_rate = rng.uniform(0.0, 0.2);
   fed.participation = rng.uniform(0.5, 1.0);
   fed.rounds = 3;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "core/rng.h"
 #include "fl/experiment.h"
@@ -124,28 +125,30 @@ TEST(Int8Codec, PartialFinalBlockHandled) {
   EXPECT_EQ(back.size(), 21u);
 }
 
+std::vector<PayloadCodecPtr> all_codecs() {
+  std::vector<PayloadCodecPtr> codecs;
+  codecs.push_back(std::make_unique<IdentityCodec>());
+  codecs.push_back(std::make_unique<Fp16Codec>());
+  codecs.push_back(std::make_unique<Int8Codec>());
+  return codecs;
+}
+
 TEST(Codecs, EmptyPayloadRoundTrips) {
-  for (const char* name : {"none", "fp16", "int8"}) {
-    const auto codec = make_codec(name);
-    EXPECT_TRUE(codec->roundtrip({}).empty()) << name;
-  }
+  for (const auto& codec : all_codecs())
+    EXPECT_TRUE(codec->roundtrip({}).empty()) << codec->name();
 }
 
 TEST(Codecs, MalformedBuffersThrow) {
-  for (const char* name : {"none", "fp16", "int8"}) {
-    const auto codec = make_codec(name);
+  for (const auto& codec : all_codecs()) {
     auto bytes = codec->encode(random_values(64, 8));
     bytes.resize(bytes.size() / 2);
-    EXPECT_THROW((void)codec->decode(bytes), std::runtime_error) << name;
+    EXPECT_THROW((void)codec->decode(bytes), std::runtime_error)
+        << codec->name();
   }
 }
 
-TEST(CodecFactoryDeath, UnknownNameAborts) {
-  EXPECT_DEATH((void)make_codec("gzip"), "Precondition");
-}
-
-// Integration: compressed uploads cut uplink bytes without destroying
-// accuracy (fp16's 2^-11 relative error is negligible for SGD).
+// Integration: wire encodings cut model bytes without destroying accuracy
+// (fp16's 2^-11 relative error is negligible for SGD).
 TEST(CompressionIntegration, Fp16HalvesUplinkKeepsAccuracy) {
   WorkloadConfig workload;
   workload.samples = 800;
@@ -165,7 +168,7 @@ TEST(CompressionIntegration, Fp16HalvesUplinkKeepsAccuracy) {
   fed.seed = 17;
 
   const RunResult raw = run_experiment(workload, fed);
-  fed.upload_compression = "fp16";
+  fed.wire_encoding = "fp16";
   const RunResult fp16 = run_experiment(workload, fed);
 
   EXPECT_LT(double(fp16.uplink_total.bytes),
@@ -190,14 +193,14 @@ TEST(CompressionIntegration, Int8StillLearns) {
   fed.rounds = 12;
   fed.eval_every = 12;
   fed.seed = 19;
-  fed.upload_compression = "int8";
+  fed.wire_encoding = "int8";
   const RunResult result = run_experiment(workload, fed);
   EXPECT_GT(*result.final_eval().eval_accuracy, 0.6);
 }
 
 TEST(ConfigDeath, RejectsUnknownCompression) {
   FedMsConfig fed;
-  fed.upload_compression = "gzip";
+  fed.wire_encoding = "gzip";
   EXPECT_DEATH(fed.validate(), "Precondition");
 }
 

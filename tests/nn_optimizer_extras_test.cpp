@@ -1,11 +1,10 @@
-// Adam and Dropout — substrate extras beyond the paper's SGD setting.
+// Adam — a substrate extra beyond the paper's SGD setting.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "nn/classifier.h"
-#include "nn/dropout.h"
 #include "nn/model_zoo.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
@@ -88,54 +87,6 @@ TEST(AdamDeath, RejectsBadOptions) {
                     AdamOptions{1.0, 0.999, 1e-8, 0.0}),
                "Precondition");
   EXPECT_DEATH(Adam(nullptr), "Precondition");
-}
-
-TEST(DropoutLayer, EvalModeIsIdentity) {
-  Dropout dropout(0.5, core::Rng(2));
-  core::Rng rng(3);
-  const Tensor x = Tensor::randn({4, 8}, rng);
-  const Tensor y = dropout.forward(x, /*training=*/false);
-  for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(DropoutLayer, TrainingDropsAboutPFraction) {
-  Dropout dropout(0.3, core::Rng(4));
-  const Tensor x = Tensor::ones({100, 100});
-  const Tensor y = dropout.forward(x, true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.numel(); ++i)
-    if (y[i] == 0.0f) ++zeros;
-  EXPECT_NEAR(double(zeros) / double(y.numel()), 0.3, 0.02);
-}
-
-TEST(DropoutLayer, SurvivorsScaledToPreserveExpectation) {
-  Dropout dropout(0.25, core::Rng(5));
-  const Tensor x = Tensor::ones({200, 200});
-  const Tensor y = dropout.forward(x, true);
-  // E[y] = 1: survivors are scaled by 1/(1-p).
-  EXPECT_NEAR(tensor::mean(y), 1.0, 0.02);
-  for (std::size_t i = 0; i < y.numel(); ++i)
-    if (y[i] != 0.0f) EXPECT_NEAR(y[i], 1.0f / 0.75f, 1e-5f);
-}
-
-TEST(DropoutLayer, BackwardUsesSameMask) {
-  Dropout dropout(0.5, core::Rng(6));
-  const Tensor x = Tensor::ones({1, 10});
-  const Tensor y = dropout.forward(x, true);
-  const Tensor g = dropout.backward(Tensor::ones({1, 10}));
-  for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(g[i], y[i]);
-}
-
-TEST(DropoutLayer, ZeroProbabilityIsNoop) {
-  Dropout dropout(0.0, core::Rng(7));
-  core::Rng rng(8);
-  const Tensor x = Tensor::randn({3, 3}, rng);
-  const Tensor y = dropout.forward(x, true);
-  for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(DropoutLayerDeath, RejectsFullDrop) {
-  EXPECT_DEATH(Dropout(1.0, core::Rng(9)), "Precondition");
 }
 
 }  // namespace

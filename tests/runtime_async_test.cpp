@@ -5,14 +5,19 @@
 //      the undefended mean diverges under the same plan;
 //   3. crashing more than P-2B servers triggers the last-feasible-model
 //      fallback instead of an exception.
+//   4. without faults, the stateless wire encodings (fp16, int8) keep the
+//      engine bit-identical to the synchronous loop.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "data/convex.h"
+#include "fl/fedms.h"
 #include "fl/quadratic_learner.h"
 #include "runtime/async_fedms.h"
+#include "transport/frame.h"
 
 namespace fedms::runtime {
 namespace {
@@ -209,6 +214,70 @@ TEST(AsyncFedMs, FaultFreeRunHasCleanTelemetry) {
   }
   EXPECT_DOUBLE_EQ(result.virtual_seconds,
                    result.rounds.back().end_seconds);
+}
+
+// Per-round, per-client model CRCs of a run, via its round callback.
+using RoundCrcs = std::vector<std::vector<std::uint32_t>>;
+template <typename Run>
+void capture_crcs(Run& run, RoundCrcs& crcs) {
+  run.set_round_callback(
+      [&crcs](std::uint64_t, const std::vector<fl::LearnerPtr>& learners) {
+        crcs.emplace_back();
+        for (const auto& learner : learners)
+          crcs.back().push_back(
+              transport::crc32c_floats(learner->parameters()));
+      });
+}
+
+TEST(AsyncFedMs, StatelessWireEncodingsMatchTheSyncLoop) {
+  // Without faults the event-driven engine replays the synchronous loop
+  // bit for bit; a stateless wire encoding must keep it that way — same
+  // lossy round-trips on uploads and per-recipient broadcasts, same
+  // encoded bytes billed.
+  for (const char* encoding : {"fp16", "int8"}) {
+    SCOPED_TRACE(encoding);
+    fl::FedMsConfig fed = base_config(3);
+    fed.rounds = 4;
+    fed.wire_encoding = encoding;
+    const data::QuadraticProblem problem = make_problem(fed.clients, 42);
+
+    RoundCrcs sync_crcs;
+    fl::FedMsRun sync(fed, make_learners(problem, fed));
+    capture_crcs(sync, sync_crcs);
+    const fl::RunResult sync_result = sync.run();
+
+    RoundCrcs async_crcs;
+    AsyncFedMsRun async(fed, RuntimeOptions{}, make_learners(problem, fed));
+    capture_crcs(async, async_crcs);
+    const AsyncRunResult async_result = async.run();
+
+    EXPECT_EQ(async_crcs, sync_crcs);
+    ASSERT_EQ(async_result.rounds.size(), sync_result.rounds.size());
+    for (std::size_t r = 0; r < sync_result.rounds.size(); ++r) {
+      EXPECT_EQ(async_result.rounds[r].base.uplink_bytes,
+                sync_result.rounds[r].uplink_bytes);
+      EXPECT_EQ(async_result.rounds[r].base.downlink_bytes,
+                sync_result.rounds[r].downlink_bytes);
+    }
+    EXPECT_EQ(async_result.uplink_total.bytes, sync_result.uplink_total.bytes);
+    EXPECT_EQ(async_result.downlink_total.bytes,
+              sync_result.downlink_total.bytes);
+
+    // The encoding is really applied: fewer bytes than the f32 run.
+    fl::FedMsConfig plain = fed;
+    plain.wire_encoding = "f32";
+    AsyncFedMsRun f32(plain, RuntimeOptions{}, make_learners(problem, plain));
+    EXPECT_LT(async_result.uplink_total.bytes, f32.run().uplink_total.bytes);
+  }
+}
+
+TEST(AsyncFedMsDeath, RejectsStatefulWireEncodings) {
+  fl::FedMsConfig fed = base_config(1);
+  fed.wire_encoding = "delta+int8";
+  const data::QuadraticProblem problem = make_problem(fed.clients, 42);
+  EXPECT_DEATH(
+      AsyncFedMsRun(fed, RuntimeOptions{}, make_learners(problem, fed)),
+      "Precondition");
 }
 
 TEST(AsyncFedMsDeath, RejectsUnsupportedExtensions) {

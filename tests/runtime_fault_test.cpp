@@ -113,13 +113,6 @@ TEST(FaultInjector, SameSeedSameDecisions) {
   }
 }
 
-TEST(Policy, AdaptiveTrimCountIsFloorOfBetaTimesReceived) {
-  EXPECT_EQ(adaptive_trim_count(10, 0.2), 2u);
-  EXPECT_EQ(adaptive_trim_count(7, 0.2), 1u);
-  EXPECT_EQ(adaptive_trim_count(4, 0.2), 0u);
-  EXPECT_EQ(adaptive_trim_count(0, 0.2), 0u);
-}
-
 TEST(Policy, TrimFeasibilityNeedsASurvivor) {
   EXPECT_TRUE(trim_feasible(5, 2));
   EXPECT_FALSE(trim_feasible(4, 2));

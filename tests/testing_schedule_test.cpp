@@ -68,13 +68,18 @@ TEST(FuzzSchedule, GeneratorProducesValidExperiments) {
     EXPECT_EQ(fedms::fl::check_aggregator_spec(s.client_filter), "");
     EXPECT_EQ(fedms::fl::check_upload_spec(s.upload), "");
     EXPECT_EQ(fedms::byz::check_attack_name(s.attack), "");
-    if (s.byzantine == 0) EXPECT_EQ(s.attack, "benign");
+    if (s.byzantine == 0) {
+      EXPECT_EQ(s.attack, "benign");
+    }
 
     // Scripted events only appear on fault schedules; partial
     // participation only on transport schedules.
-    if (s.kind != ScheduleKind::kFault) EXPECT_TRUE(s.events.empty());
-    if (s.kind != ScheduleKind::kTransport)
+    if (s.kind != ScheduleKind::kFault) {
+      EXPECT_TRUE(s.events.empty());
+    }
+    if (s.kind != ScheduleKind::kTransport) {
       EXPECT_EQ(s.participation, 1.0);
+    }
     for (const ScheduleEvent& e : s.events) {
       if (!e.matches_messages()) continue;
       EXPECT_LT(e.round, s.rounds);

@@ -90,18 +90,26 @@ TEST(FrameCodec, RoundTripsEmptyAndLargePayloads) {
   }
 }
 
+// The sender's lossy round-trip under a stateless wire encoding: payload
+// holds the decoded values, the wire ships the encoded buffer.
+net::Message make_encoded_message(const fl::PayloadCodec& codec,
+                                  std::uint8_t wire_format,
+                                  std::size_t dim) {
+  net::Message m = make_message(net::MessageKind::kModelUpload, dim);
+  m.encoded = codec.encode(m.payload);
+  m.encoded_bytes = m.encoded.size();
+  m.payload = codec.decode(m.encoded);
+  m.wire_format = wire_format;
+  return m;
+}
+
 TEST(FrameCodec, RoundTripsCompressedPayloads) {
-  for (const std::string codec_name : {"fp16", "int8"}) {
-    const FrameCodec codec(codec_name);
-    const fl::PayloadCodecPtr payload_codec = fl::make_codec(codec_name);
-
-    net::Message original = make_message(net::MessageKind::kModelUpload, 300);
-    // The sender's lossy round-trip: payload holds the decoded values, the
-    // wire ships the encoded buffer.
-    original.encoded = payload_codec->encode(original.payload);
-    original.encoded_bytes = original.encoded.size();
-    original.payload = payload_codec->decode(original.encoded);
-
+  const FrameCodec codec;
+  const fl::Fp16Codec fp16;
+  const fl::Int8Codec int8(fl::kWireInt8Block);
+  for (const net::Message& original :
+       {make_encoded_message(fp16, fl::kWireFormatFp16, 300),
+        make_encoded_message(int8, fl::kWireFormatInt8, 300)}) {
     const auto frame = codec.encode(original);
     EXPECT_EQ(frame.size(), net::wire_size(original));
     EXPECT_EQ(frame.size(),
@@ -111,39 +119,35 @@ TEST(FrameCodec, RoundTripsCompressedPayloads) {
     ASSERT_TRUE(decoded.ok()) << to_string(decoded.error);
     expect_equal(decoded.message, original);
     EXPECT_EQ(decoded.message.encoded, original.encoded);
+    EXPECT_EQ(decoded.message.wire_format, original.wire_format);
   }
-}
-
-TEST(FrameCodec, ReencodesWhenEncodedBufferNotCarried) {
-  const FrameCodec codec("fp16");
-  const fl::PayloadCodecPtr fp16 = fl::make_codec("fp16");
-  net::Message original = make_message(net::MessageKind::kModelUpload, 32);
-  const std::vector<std::uint8_t> encoded = fp16->encode(original.payload);
-  original.payload = fp16->decode(encoded);
-  original.encoded_bytes = encoded.size();
-  // encoded left empty: encode() must re-encode with the session codec.
-  const auto frame = codec.encode(original);
-  const auto decoded = codec.decode(frame);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.message.payload, original.payload);
 }
 
 TEST(FrameCodec, CompressedFramesAreSelfDescribing) {
   // Negotiated encodings mean a receiver cannot know the sender's codec in
-  // advance: stateless fp16/int8 frames decode under ANY session codec.
-  const FrameCodec fp16_codec("fp16");
-  const fl::PayloadCodecPtr fp16 = fl::make_codec("fp16");
-  net::Message m = make_message(net::MessageKind::kModelUpload, 8);
-  m.encoded = fp16->encode(m.payload);
-  m.encoded_bytes = m.encoded.size();
-  m.payload = fp16->decode(m.encoded);
-  const auto frame = fp16_codec.encode(m);
+  // advance: a stateless int8 frame with a non-default block size decodes
+  // with no agreement beyond the header's format byte.
+  const fl::Int8Codec int8(16);
+  const net::Message m = make_encoded_message(int8, fl::kWireFormatInt8, 40);
+  const auto frame = FrameCodec().encode(m);
 
-  const FrameCodec plain_codec;
-  const auto decoded = plain_codec.decode(frame);
+  const auto decoded = FrameCodec().decode(frame);
   ASSERT_TRUE(decoded.ok()) << to_string(decoded.error);
   EXPECT_EQ(decoded.message.payload, m.payload);
   EXPECT_EQ(decoded.message.encoded, m.encoded);
+}
+
+TEST(FrameCodecDeath, EncodedMessagesMustCarryTheirBytes) {
+  // Frames ship the sender's encoded buffer verbatim and never re-encode
+  // the decoded payload, so a message must carry its bytes.
+  net::Message m = make_encoded_message(fl::Fp16Codec(), fl::kWireFormatFp16,
+                                        8);
+  m.encoded.clear();
+  EXPECT_DEATH((void)FrameCodec().encode(m), "Precondition");
+}
+
+TEST(FrameCodecDeath, SessionSpecMustBeNone) {
+  EXPECT_DEATH(FrameCodec("fp16"), "Precondition");
 }
 
 TEST(FrameCodec, StatefulFramesValidateAndDeferDecoding) {

@@ -60,7 +60,7 @@ void expect_matches_sim(const fl::WorkloadConfig& workload,
                         const fl::FedMsConfig& fed) {
   const SimBaseline sim = run_sim(workload, fed);
 
-  InMemoryHub hub(fed.upload_compression);
+  InMemoryHub hub;
   const TransportRunSummary summary =
       run_transport_experiment(workload, fed, hub);
 
@@ -96,7 +96,7 @@ TEST(TransportEngine, MatchesSimulatorUnderRandomPlacementAndAttack) {
 
 TEST(TransportEngine, MatchesSimulatorWithCompressedUploads) {
   fl::FedMsConfig fed = small_fed();
-  fed.upload_compression = "int8";
+  fed.wire_encoding = "int8";
   expect_matches_sim(small_workload(), fed);
 }
 
@@ -112,7 +112,7 @@ TEST(TransportEngine, CorruptionDegradesGracefullyThroughTrimmedMean) {
   const fl::WorkloadConfig workload = small_workload();
   const fl::FedMsConfig fed = small_fed();
 
-  InMemoryHub hub(fed.upload_compression);
+  InMemoryHub hub;
   hub.set_corrupt_rate(0.4, 77);
   const TransportRunSummary summary =
       run_transport_experiment(workload, fed, hub);

@@ -288,7 +288,7 @@ TEST(SocketTransport, FullRunOverUnixSocketsMatchesInMemory) {
   fed.seed = 5;
 
   // Reference: in-memory transport run.
-  InMemoryHub hub(fed.upload_compression);
+  InMemoryHub hub;
   const TransportRunSummary reference =
       run_transport_experiment(workload, fed, hub);
 

@@ -106,7 +106,6 @@ std::vector<transport::SocketAddress> server_addresses(const NodeCli& cli) {
 transport::SocketTransportOptions socket_options(const NodeCli& cli,
                                                  const net::NodeId& self) {
   transport::SocketTransportOptions options;
-  options.payload_codec = cli.fed.upload_compression;
   // Only clients announce: broadcasts come back in this encoding. Uploads
   // need no announcement — frames are self-describing.
   if (self.kind == net::NodeKind::kClient)
@@ -204,10 +203,8 @@ int run_server_process(const NodeCli& cli) {
 
   transport::NodeReport report;
   if (cli.runtime == "eventloop") {
-    eventloop::EventLoopOptions options;
-    options.payload_codec = cli.fed.upload_compression;
     auto transport = eventloop::EventLoopServer::listen(
-        self, server_addresses(cli)[cli.index], options);
+        self, server_addresses(cli)[cli.index]);
     report = transport::run_server_node(*transport, cli.workload, cli.fed,
                                         cli.index, cli.timeout_seconds);
     transport->flush(cli.timeout_seconds);
@@ -322,7 +319,7 @@ int run_inmem(const NodeCli& cli) {
     obs::set_process_identity("proc", 0);
     obs::set_enabled(true);
   }
-  transport::InMemoryHub hub(cli.fed.upload_compression);
+  transport::InMemoryHub hub;
   if (cli.corrupt_rate > 0.0)
     hub.set_corrupt_rate(cli.corrupt_rate, cli.corrupt_seed);
   const transport::TransportRunSummary summary =
@@ -368,7 +365,6 @@ std::vector<std::string> child_args(const NodeCli& cli, const char* role,
       "--fedgreed-root", std::to_string(cli.fed.fedgreed_root_samples),
       "--server-aggregator", cli.fed.server_aggregator,
       "--attack", cli.fed.attack,
-      "--compression", cli.fed.upload_compression,
       "--wire-encoding", cli.fed.wire_encoding,
       "--seed", std::to_string(cli.fed.seed),
       "--eval-every", std::to_string(cli.fed.eval_every),
@@ -518,7 +514,6 @@ int main(int argc, char** argv) {
                 "fedgreed: held-out test samples in the root batch");
   flags.add_string("server-aggregator", "mean", "PS-side aggregation rule");
   flags.add_string("attack", "noise", "Byzantine PS behaviour");
-  flags.add_string("compression", "none", "upload codec: none | fp16 | int8");
   flags.add_string("wire-encoding", "f32",
                    "negotiated wire encoding: f32 | fp16 | int8 | "
                    "delta+<base> | topk:<frac>");
@@ -564,7 +559,6 @@ int main(int argc, char** argv) {
       std::size_t(flags.get_int("fedgreed-root"));
   cli.fed.server_aggregator = flags.get_string("server-aggregator");
   cli.fed.attack = flags.get_string("attack");
-  cli.fed.upload_compression = flags.get_string("compression");
   cli.fed.wire_encoding = flags.get_string("wire-encoding");
   cli.fed.seed = std::uint64_t(flags.get_int("seed"));
   cli.fed.eval_every = std::size_t(flags.get_int("eval-every"));

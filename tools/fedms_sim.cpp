@@ -1,13 +1,13 @@
 // fedms_sim — the full-surface command-line simulator.
 //
 // Exposes every knob of the Fed-MS stack (topology, attacks on both sides,
-// defenses on both sides, upload strategy, compression, participation,
+// defenses on both sides, upload strategy, wire encoding, participation,
 // network loss, data heterogeneity, model choice) and prints one CSV row
 // per evaluated round, plus a run summary. With --repeats N it re-runs the
 // experiment under derived seeds and reports mean ± stddev of the final
 // accuracy — the entry point for scripting custom sweeps.
 //
-//   ./build/tools/fedms_sim --attack random --client-filter trmean:0.2 \
+//   ./build/tools/fedms_sim --attack random --client-filter trmean:0.2
 //       --rounds 40 --alpha 10 --csv out.csv
 
 #include <cstdio>
@@ -21,6 +21,7 @@
 #include "fl/aggregators.h"
 #include "fl/experiment.h"
 #include "fl/upload.h"
+#include "fl/wire_encoding.h"
 #include "metrics/json.h"
 #include "obs/obs.h"
 #include "metrics/recorder.h"
@@ -64,8 +65,6 @@ int main(int argc, char** argv) {
                    "Byzantine client forgery: benign | signflip | scaling | "
                    "noise | zero | random");
   // Communication extensions.
-  flags.add_string("compression", "none",
-                   "upload payload codec: none | fp16 | int8");
   flags.add_string("wire-encoding", "f32",
                    "negotiated wire encoding: f32 | fp16 | int8 | "
                    "delta+<base> | topk:<frac>");
@@ -144,7 +143,6 @@ int main(int argc, char** argv) {
   fed.attack = flags.get_string("attack");
   fed.byzantine_clients = std::size_t(flags.get_int("byzantine-clients"));
   fed.client_attack = flags.get_string("client-attack");
-  fed.upload_compression = flags.get_string("compression");
   fed.wire_encoding = flags.get_string("wire-encoding");
   fed.participation = flags.get_double("participation");
   fed.network_loss_rate = flags.get_double("loss-rate");
@@ -190,10 +188,26 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool async = runtime_kind == "async";
-  if (async && fed.wire_encoding != "f32")
-    return cli_error("--wire-encoding \"" + fed.wire_encoding +
-                     "\" requires --runtime sync (the event-driven engine "
-                     "has no per-link wire streams)");
+  if (async) {
+    // Extensions the event-driven engine does not model: reject them here
+    // instead of letting the engine's preconditions abort.
+    fl::WireEncodingSpec wire_spec;
+    fl::parse_wire_encoding(fed.wire_encoding, &wire_spec);
+    if (wire_spec.stateful())
+      return cli_error("--wire-encoding \"" + fed.wire_encoding +
+                       "\" requires --runtime sync (the event-driven "
+                       "engine has no per-link wire streams; use f32, fp16 "
+                       "or int8)");
+    if (fed.dp_clip_norm > 0.0)
+      return cli_error("--dp-clip requires --runtime sync");
+    if (fed.byzantine_clients > 0)
+      return cli_error("--byzantine-clients requires --runtime sync");
+    if (fed.participation < 1.0)
+      return cli_error("--participation below 1 requires --runtime sync");
+    if (fed.network_loss_rate > 0.0)
+      return cli_error("--loss-rate requires --runtime sync (use "
+                       "--fault-plan drop=<rate> with --runtime async)");
+  }
   runtime::RuntimeOptions runtime_options;
   runtime_options.compute_seconds = flags.get_double("compute-time");
   runtime_options.upload_window_seconds = flags.get_double("upload-window");

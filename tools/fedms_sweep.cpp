@@ -8,7 +8,7 @@
 // the output bytes are identical for any --jobs value, which check.sh
 // asserts.
 //
-//   fedms_sweep --scenario examples/churn.json --seeds 8 --jobs 4 \
+//   fedms_sweep --scenario examples/churn.json --seeds 8 --jobs 4
 //               --defenses trmean:0.2,mean --out-dir sweep-out
 //
 // --trace-dir enables obs tracing; the obs registry is process-global,

@@ -6,7 +6,7 @@
 // per-(round, stage) envelope spans on a synthetic "timeline" row, and
 // verifies that every node saw the canonical Fed-MS stage order.
 //
-//   ./build/tools/fedms_trace_merge --out merged.trace.json \
+//   ./build/tools/fedms_trace_merge --out merged.trace.json
 //       /tmp/traces/server0.trace.json /tmp/traces/client*.trace.json
 #include <cstdio>
 #include <cstring>
