@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "byz/attacks.h"
 #include "core/rng.h"
@@ -140,6 +141,12 @@ struct AggregatorCase {
   const char* spec;
   bool selects_input;  // Krum returns one of its inputs verbatim
 };
+
+// Without a printer gtest names each case by its raw bytes (the spec
+// pointer among them), so the test names would change from run to run.
+void PrintTo(const AggregatorCase& c, std::ostream* os) {
+  *os << '"' << c.spec << '"';
+}
 
 class AggregatorProperties
     : public ::testing::TestWithParam<AggregatorCase> {

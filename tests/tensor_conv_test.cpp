@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "tensor/ops.h"
 
@@ -107,6 +108,13 @@ struct ConvGradCase {
   std::size_t stride;
   std::size_t padding;
 };
+
+// Without a printer gtest names each case by its raw bytes, padding
+// included, so the test names would change from run to run.
+void PrintTo(const ConvGradCase& c, std::ostream* os) {
+  *os << (c.depthwise ? "depthwise" : "dense") << " stride=" << c.stride
+      << " padding=" << c.padding;
+}
 
 class ConvGradCheck : public ::testing::TestWithParam<ConvGradCase> {};
 
