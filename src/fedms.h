@@ -10,7 +10,6 @@
 // Core utilities
 #include "core/cli.h"
 #include "core/contracts.h"
-#include "core/log.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
 #include "core/thread_pool.h"

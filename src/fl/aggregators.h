@@ -301,7 +301,6 @@ class FedGreedAggregator final : public Aggregator {
   std::size_t select() const { return select_; }
 
   void set_root_score(RootScoreFn score) { root_score_ = std::move(score); }
-  bool has_root_score() const { return bool(root_score_); }
 
  private:
   std::size_t select_;

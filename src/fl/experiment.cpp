@@ -1,6 +1,7 @@
 #include "fl/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/contracts.h"
 #include "fl/aggregators.h"
@@ -37,7 +38,38 @@ std::unique_ptr<nn::Sequential> build_model(const WorkloadConfig& workload,
   return nullptr;
 }
 
+NnLearnerOptions learner_options(const WorkloadConfig& workload) {
+  NnLearnerOptions options;
+  options.batch_size = workload.batch_size;
+  options.learning_rate = workload.learning_rate;
+  options.lr_schedule = workload.lr_schedule;
+  options.momentum = workload.momentum;
+  options.weight_decay = workload.weight_decay;
+  options.eval_sample_cap = workload.eval_sample_cap;
+  return options;
+}
+
 }  // namespace
+
+std::size_t min_samples_per_client(const WorkloadConfig& workload) {
+  return workload.batch_size / 4 + 1;
+}
+
+std::string check_workload(const WorkloadConfig& workload,
+                           const FedMsConfig& fed) {
+  const std::size_t n = workload.samples;
+  // split_train_test's test count: round(f·n), clamped to [1, n−1].
+  const auto test = static_cast<std::size_t>(
+      std::round(workload.test_fraction * double(n)));
+  const std::size_t train =
+      n < 2 ? 0 : n - std::clamp<std::size_t>(test, 1, n - 1);
+  const std::size_t need = fed.clients * min_samples_per_client(workload);
+  if (train >= need) return "";
+  return "--samples " + std::to_string(n) + " leaves " +
+         std::to_string(train) + " training samples, fewer than " +
+         std::to_string(fed.clients) + " clients x (batch/4+1) = " +
+         std::to_string(need) + "; raise --samples or lower --clients";
+}
 
 Workload make_workload(const WorkloadConfig& workload,
                        const FedMsConfig& fed) {
@@ -69,7 +101,7 @@ Workload make_workload(const WorkloadConfig& workload,
   Workload result;
   result.partition = data::dirichlet_partition(
       split.train, fed.clients, workload.dirichlet_alpha, partition_rng,
-      /*min_samples_per_client=*/workload.batch_size / 4 + 1);
+      min_samples_per_client(workload));
   result.train = std::move(split.train);
   result.test = std::move(split.test);
   return result;
@@ -78,34 +110,10 @@ Workload make_workload(const WorkloadConfig& workload,
 std::vector<LearnerPtr> make_nn_learners(const Workload& data,
                                          const WorkloadConfig& workload,
                                          const FedMsConfig& fed) {
-  FEDMS_EXPECTS(data.partition.size() == fed.clients);
-  const core::SeedSequence seeds(fed.seed);
-  const std::uint64_t model_seed = seeds.derive("model-init");
-
-  NnLearnerOptions options;
-  options.batch_size = workload.batch_size;
-  options.learning_rate = workload.learning_rate;
-  options.lr_schedule = workload.lr_schedule;
-  options.momentum = workload.momentum;
-  options.weight_decay = workload.weight_decay;
-  options.eval_sample_cap = workload.eval_sample_cap;
-
-  data::PartitionIndices test_shards;
-  if (workload.local_test_shards) {
-    core::Rng shard_rng = seeds.make_rng("test-shards");
-    test_shards = data::iid_partition(data.test, fed.clients, shard_rng);
-  }
-
   std::vector<LearnerPtr> learners;
   learners.reserve(fed.clients);
-  for (std::size_t k = 0; k < fed.clients; ++k) {
-    learners.push_back(std::make_unique<NnLearner>(
-        data.train, data.partition[k], data.test,
-        build_model(workload, model_seed), options,
-        seeds.make_rng("client-sampler", k),
-        workload.local_test_shards ? test_shards[k]
-                                   : std::vector<std::size_t>{}));
-  }
+  for (std::size_t k = 0; k < fed.clients; ++k)
+    learners.push_back(make_nn_learner(data, workload, fed, k));
   return learners;
 }
 
@@ -115,26 +123,16 @@ LearnerPtr make_nn_learner(const Workload& data,
   FEDMS_EXPECTS(data.partition.size() == fed.clients);
   FEDMS_EXPECTS(k < fed.clients);
   const core::SeedSequence seeds(fed.seed);
-  const std::uint64_t model_seed = seeds.derive("model-init");
-
-  NnLearnerOptions options;
-  options.batch_size = workload.batch_size;
-  options.learning_rate = workload.learning_rate;
-  options.lr_schedule = workload.lr_schedule;
-  options.momentum = workload.momentum;
-  options.weight_decay = workload.weight_decay;
-  options.eval_sample_cap = workload.eval_sample_cap;
-
   std::vector<std::size_t> test_pool;
   if (workload.local_test_shards) {
     core::Rng shard_rng = seeds.make_rng("test-shards");
     test_pool = data::iid_partition(data.test, fed.clients, shard_rng)[k];
   }
-
   return std::make_unique<NnLearner>(
       data.train, data.partition[k], data.test,
-      build_model(workload, model_seed), options,
-      seeds.make_rng("client-sampler", k), std::move(test_pool));
+      build_model(workload, seeds.derive("model-init")),
+      learner_options(workload), seeds.make_rng("client-sampler", k),
+      std::move(test_pool));
 }
 
 std::vector<float> initial_model(const WorkloadConfig& workload,
@@ -205,17 +203,11 @@ CentralizedResult run_centralized_baseline(const WorkloadConfig& workload,
   // One learner owning the pooled training data.
   std::vector<std::size_t> all(data.train.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  NnLearnerOptions options;
-  options.batch_size = workload.batch_size;
-  options.learning_rate = workload.learning_rate;
-  options.lr_schedule = workload.lr_schedule;
-  options.momentum = workload.momentum;
-  options.weight_decay = workload.weight_decay;
-  options.eval_sample_cap = workload.eval_sample_cap;
   const core::SeedSequence seeds(fed.seed);
   NnLearner learner(data.train, all, data.test,
                     build_model(workload, seeds.derive("model-init")),
-                    options, seeds.make_rng("centralized-sampler"));
+                    learner_options(workload),
+                    seeds.make_rng("centralized-sampler"));
 
   // One "epoch" = enough mini-batch steps to see the dataset once.
   const std::size_t steps_per_epoch =

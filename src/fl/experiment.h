@@ -56,6 +56,15 @@ struct Workload {
   data::PartitionIndices partition;  // per-client index pools
 };
 
+// The fewest training samples the Dirichlet partition gives a client.
+std::size_t min_samples_per_client(const WorkloadConfig& workload);
+
+// One-line error when the train split left after test_fraction cannot
+// give each of fed.clients clients min_samples_per_client (make_workload
+// would abort); empty when it fits. The CLI tools call this first.
+std::string check_workload(const WorkloadConfig& workload,
+                           const FedMsConfig& fed);
+
 // Synthesizes the dataset and Dirichlet-partitions it across
 // `fed.clients` clients. Deterministic in fed.seed.
 Workload make_workload(const WorkloadConfig& workload,

@@ -19,13 +19,12 @@
 #include <optional>
 #include <vector>
 
-#include "byz/client_attacks.h"
 #include "core/thread_pool.h"
 #include "fl/aggregators.h"
+#include "fl/client_step.h"
 #include "fl/config.h"
 #include "fl/learner.h"
 #include "fl/server.h"
-#include "fl/upload.h"
 #include "fl/wire_encoding.h"
 #include "net/latency.h"
 #include "net/sim_network.h"
@@ -60,6 +59,20 @@ struct RunResult {
   const RoundRecord& final_eval() const;
 };
 
+// Clients that train each round under partial participation:
+// round(participation·K), at least 1.
+std::size_t participant_count(const FedMsConfig& fed);
+
+// True on the rounds fed.eval_every schedules, and on the last round.
+bool eval_due(const FedMsConfig& fed, std::uint64_t round);
+
+// On eval_due rounds, sets record.eval_accuracy and record.eval_loss to
+// the mean over the first fed.eval_clients learners (all when 0), in
+// ascending client order; leaves them unset otherwise.
+void evaluate_round(const FedMsConfig& fed, std::uint64_t round,
+                    const std::vector<LearnerPtr>& learners,
+                    RoundRecord& record);
+
 class FedMsRun {
  public:
   // `learners` are the K clients (learners.size() must equal
@@ -82,7 +95,6 @@ class FedMsRun {
 
   const std::vector<LearnerPtr>& learners() const { return learners_; }
   const std::vector<ParameterServer>& servers() const { return servers_; }
-  net::SimNetwork& network() { return network_; }
   // Mutable before run(): configure heterogeneous per-node links etc.
   net::LatencyModel& latency_model() { return latency_; }
   // The client-side Def() built from config.client_filter. Mutable before
@@ -97,31 +109,18 @@ class FedMsRun {
   std::vector<LearnerPtr> learners_;
   std::vector<ParameterServer> servers_;
   AggregatorPtr filter_;
-  UploadStrategyPtr upload_;
+  std::vector<ClientStep> steps_;  // one per learner
   net::SimNetwork network_;
   net::LatencyModel latency_;
-  std::vector<core::Rng> client_rngs_;  // PS-selection streams
-  // Byzantine-client extension state.
-  std::vector<bool> client_is_byzantine_;
-  byz::ClientAttackPtr client_attack_;
-  std::vector<core::Rng> client_attack_rngs_;
   core::Rng participation_rng_;
   std::vector<double> last_losses_;  // per-client, for highloss selection
-  // Negotiated wire encoding (config.wire_encoding != "f32"): one stream
-  // per directed link, mirroring the transport engine's channel keying —
-  // upload channel (k→p) lives in wire_uplinks_[k] keyed by the PS id,
-  // broadcast channel (p→k) in wire_downlinks_[p] keyed by the client id.
+  // Negotiated wire encoding (config.wire_encoding != "f32"): the upload
+  // streams live in the client steps; the broadcast stream (p→k) lives in
+  // wire_downlinks_[p] keyed by the client id, as in the transport engine.
   WireEncodingSpec wire_spec_;
-  std::vector<WireChannelBook> wire_uplinks_;    // per client
   std::vector<WireChannelBook> wire_downlinks_;  // per server
-  std::vector<core::Rng> dp_rngs_;  // per-client DP noise streams
-  core::ThreadPool pool_;           // local-training fan-out
+  core::ThreadPool pool_;                        // local-training fan-out
   RoundCallback callback_;
 };
-
-// Convenience: builds the server set (with attacks placed per config) and
-// runs. Most callers construct FedMsRun directly; this free function exists
-// for the examples.
-RunResult run_fedms(FedMsConfig config, std::vector<LearnerPtr> learners);
 
 }  // namespace fedms::fl

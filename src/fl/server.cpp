@@ -82,4 +82,33 @@ std::vector<float> ParameterServer::disseminate(std::uint64_t round,
   return attack_->tamper(context, rng_);
 }
 
+std::vector<bool> byzantine_servers(const FedMsConfig& fed) {
+  std::vector<bool> mask(fed.servers, false);
+  if (fed.byzantine_placement == "first") {
+    for (std::size_t i = 0; i < fed.byzantine; ++i) mask[i] = true;
+  } else {
+    core::Rng placement_rng =
+        core::SeedSequence(fed.seed).make_rng("byz-placement");
+    for (const std::size_t i : placement_rng.sample_without_replacement(
+             fed.servers, fed.byzantine))
+      mask[i] = true;
+  }
+  return mask;
+}
+
+ParameterServer make_parameter_server(const FedMsConfig& fed,
+                                      std::size_t index,
+                                      std::vector<float> w0) {
+  FEDMS_EXPECTS(index < fed.servers);
+  byz::AttackPtr attack;
+  if (byzantine_servers(fed)[index]) attack = byz::make_attack(fed.attack);
+  ParameterServer server(index, std::move(attack),
+                         core::SeedSequence(fed.seed).make_rng("attack", index));
+  if (fed.server_aggregator != "mean")
+    server.set_aggregator(std::shared_ptr<const Aggregator>(
+        make_aggregator(fed.server_aggregator)));
+  server.set_initial_model(std::move(w0));
+  return server;
+}
+
 }  // namespace fedms::fl

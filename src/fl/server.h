@@ -19,6 +19,7 @@
 #include "byz/attack.h"
 #include "core/rng.h"
 #include "fl/aggregators.h"
+#include "fl/config.h"
 
 namespace fedms::fl {
 
@@ -87,5 +88,19 @@ class ParameterServer {
   std::vector<std::vector<float>> history_;
   std::size_t last_upload_count_ = 0;
 };
+
+// ---- construction shared by every engine ----
+
+// Which PS indices are Byzantine under `fed`: 0..B−1 for "first"
+// placement, else B indices drawn once on the "byz-placement" stream —
+// the same draw in every engine and every node process.
+std::vector<bool> byzantine_servers(const FedMsConfig& fed);
+
+// PS `index` of `fed`, holding w₀: fed.attack when byzantine_servers(fed)
+// marks it, its private ("attack", index) stream, and
+// fed.server_aggregator unless that is the plain mean.
+ParameterServer make_parameter_server(const FedMsConfig& fed,
+                                      std::size_t index,
+                                      std::vector<float> w0);
 
 }  // namespace fedms::fl

@@ -357,6 +357,21 @@ WireChannel& WireChannelBook::channel(const net::NodeId& remote,
   return channels_.emplace(remote, WireChannel(spec)).first->second;
 }
 
+WireEncodingSpec wire_encoding_spec(const std::string& text) {
+  WireEncodingSpec spec;
+  FEDMS_EXPECTS(parse_wire_encoding(text, &spec).empty());
+  return spec;
+}
+
+void encode_payload(net::Message& message, WireChannel& channel,
+                    const std::vector<float>& values, bool keep_bytes) {
+  WireEncodeResult wire = channel.encode(values);
+  message.payload = std::move(wire.decoded);
+  message.encoded_bytes = wire.bytes.size();
+  message.wire_format = channel.spec().format_tag();
+  if (keep_bytes) message.encoded = std::move(wire.bytes);
+}
+
 void finish_wire_payload(net::Message& message, WireChannelBook& book) {
   if (!message.payload.empty() || message.encoded_bytes == 0 ||
       message.encoded.empty())

@@ -78,6 +78,9 @@ std::string parse_wire_encoding(const std::string& text,
                                 WireEncodingSpec* spec);
 // "" = valid spec.
 std::string check_wire_encoding(const std::string& text);
+// The parsed spec of `text`, which must be valid (FedMsConfig::check
+// vets it first); contract-aborts otherwise.
+WireEncodingSpec wire_encoding_spec(const std::string& text);
 
 // Structural validation of a stateful (topk / delta*) wire payload
 // without reference state: lengths, k <= count, bitmap popcount == k,
@@ -143,6 +146,15 @@ class WireChannelBook {
   WireEncodingSpec default_spec_;
   std::map<net::NodeId, WireChannel> channels_;
 };
+
+// Sender-side round-trip of `values` through `channel` into `message`:
+// the payload becomes what the receiver decodes, and encoded_bytes and
+// wire_format bill what goes on the wire. `keep_bytes` also stores the
+// encoded bytes in message.encoded, which a real transport frames;
+// simulated links only need the size. `values` may alias
+// message.payload.
+void encode_payload(net::Message& message, WireChannel& channel,
+                    const std::vector<float>& values, bool keep_bytes);
 
 // Decodes a transport message whose stateful payload was left undecoded
 // by the frame codec (payload empty, encoded bytes present): runs the

@@ -33,7 +33,7 @@ struct Message {
   NodeId to;
   MessageKind kind = MessageKind::kModelUpload;
   std::uint64_t round = 0;
-  std::vector<float> payload;
+  std::vector<float> payload{};
   // When a lossy codec was applied, `payload` holds the *decoded* values
   // the receiver observes and this field holds the encoded size actually
   // sent over the wire. 0 means uncompressed (size derived from payload).
@@ -42,14 +42,14 @@ struct Message {
   // wire transport ships the encoded bytes without re-encoding (and the
   // receiver's decode is bit-identical to what the sender observed).
   // Simulation paths may leave it empty: accounting only needs the size.
-  std::vector<std::uint8_t> encoded;
+  std::vector<std::uint8_t> encoded{};
   // Wire-encoding format tag stamped into the frame header's format byte
   // when encoded_bytes > 0 (fl::kWireFormat*). 0 = raw float32.
   std::uint8_t wire_format = 0;
   // kHello only: the wire-encoding spec this peer wants its broadcasts
   // in, carried in the frame header's reserved bytes (<= 18 ASCII chars;
   // empty = lossless f32 default).
-  std::string hello_encoding;
+  std::string hello_encoding{};
 };
 
 // Raw serialized payload size (length prefix + floats), ignoring any codec.

@@ -47,7 +47,6 @@ class SimNetwork {
 
   // Fraction of messages dropped at send time (failure injection).
   void set_loss_rate(double rate);
-  double loss_rate() const { return loss_rate_; }
 
   // Queues a message for its destination (unless dropped) and records
   // traffic. Payloads are moved, not copied.

@@ -1,12 +1,10 @@
 #include "runtime/async_fedms.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <utility>
 
-#include "byz/attack.h"
 #include "core/contracts.h"
 #include "fl/experiment.h"
 #include "net/message.h"
@@ -60,16 +58,13 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   // Extensions the event-driven runtime does not model (yet): use the
   // synchronous FedMsRun for these. worker_threads is ignored — handlers
   // run inline in deterministic event order.
-  FEDMS_EXPECTS(config_.byzantine_clients == 0);
-  FEDMS_EXPECTS(config_.dp_clip_norm == 0.0);
   FEDMS_EXPECTS(config_.participation == 1.0);
   // Only stateless wire encodings (f32, fp16, int8): delta and top-k
   // would need per-link channel state threaded through the event queue's
   // retry/crash paths. CLI layers reject them with a one-line error
   // before this fires.
-  fl::WireEncodingSpec wire_spec;
-  FEDMS_EXPECTS(
-      fl::parse_wire_encoding(config_.wire_encoding, &wire_spec).empty());
+  const fl::WireEncodingSpec wire_spec =
+      fl::wire_encoding_spec(config_.wire_encoding);
   FEDMS_EXPECTS(!wire_spec.stateful());
   if (!wire_spec.is_f32()) wire_.emplace(wire_spec);
   // Uniform network loss is expressed as FaultPlan::drop_rate here.
@@ -95,43 +90,19 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
       FEDMS_EXPECTS(
           options_.faults.active_client_count(config_.clients, r) > 0);
 
-  const core::SeedSequence& seeds = seeds_;
-
-  // Byzantine-PS placement: identical derivation to the synchronous loop,
-  // so the same seed puts the same PSs under attack in both runtimes.
-  std::vector<bool> is_byzantine(config_.servers, false);
-  if (config_.byzantine_placement == "first") {
-    for (std::size_t i = 0; i < config_.byzantine; ++i) is_byzantine[i] = true;
-  } else {
-    core::Rng placement_rng = seeds.make_rng("byz-placement");
-    for (const std::size_t i : placement_rng.sample_without_replacement(
-             config_.servers, config_.byzantine))
-      is_byzantine[i] = true;
-  }
-  servers_.reserve(config_.servers);
-  for (std::size_t i = 0; i < config_.servers; ++i) {
-    byz::AttackPtr attack;
-    if (is_byzantine[i]) attack = byz::make_attack(config_.attack);
-    servers_.emplace_back(i, std::move(attack), seeds.make_rng("attack", i));
-  }
-  if (config_.server_aggregator != "mean") {
-    std::shared_ptr<const fl::Aggregator> rule(
-        fl::make_aggregator(config_.server_aggregator));
-    for (auto& server : servers_) server.set_aggregator(rule);
-  }
-
-  filter_ = fl::make_aggregator(config_.client_filter);
-  quorum_ = options_.quorum(config_.byzantine, config_.client_filter);
-  upload_ = fl::make_upload_strategy(config_.upload);
-  faults_ = FaultInjector(options_.faults, seeds.make_rng("fault-injector"));
-
-  client_rngs_.reserve(config_.clients);
-  for (std::size_t k = 0; k < config_.clients; ++k)
-    client_rngs_.push_back(seeds.make_rng("ps-choice", k));
-
   const std::vector<float> w0 = learners_.front()->parameters();
   FEDMS_EXPECTS(w0.size() == learners_.front()->dimension());
-  for (auto& server : servers_) server.set_initial_model(w0);
+  servers_.reserve(config_.servers);
+  for (std::size_t i = 0; i < config_.servers; ++i)
+    servers_.push_back(fl::make_parameter_server(config_, i, w0));
+
+  filter_ = fl::make_aggregator(config_.client_filter);
+  steps_.reserve(config_.clients);
+  for (std::size_t k = 0; k < config_.clients; ++k)
+    steps_.emplace_back(config_, k, *learners_[k], *filter_);
+  quorum_ = options_.quorum(config_.byzantine, config_.client_filter);
+  faults_ = FaultInjector(options_.faults, seeds_.make_rng("fault-injector"));
+
   clients_.resize(config_.clients);
   for (ClientState& client : clients_) client.last_feasible = w0;
   round_losses_.assign(config_.clients, 0.0);
@@ -157,13 +128,8 @@ void AsyncFedMsRun::trace_node(std::uint64_t round, const std::string& event,
 }
 
 void AsyncFedMsRun::encode_for_wire(net::Message& message) {
-  if (!wire_) return;
-  // Sender-side round-trip, as in the synchronous loop: the receiver gets
-  // the decoded values and the link bills the encoded size.
-  fl::WireEncodeResult wire = wire_->encode(message.payload);
-  message.payload = std::move(wire.decoded);
-  message.encoded_bytes = wire.bytes.size();
-  message.wire_format = wire_->spec().format_tag();
+  if (wire_)
+    fl::encode_payload(message, *wire_, message.payload, /*keep_bytes=*/false);
 }
 
 void AsyncFedMsRun::send(net::Message message, std::uint64_t round,
@@ -226,11 +192,10 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
   trace_node(round, "retry", net::client_id(k));
   for (std::size_t s = 0; s < config_.servers; ++s) {
     if (client.candidates.count(s)) continue;
-    net::Message request;
-    request.from = net::client_id(k);
-    request.to = net::server_id(s);
-    request.kind = net::MessageKind::kRetryRequest;
-    request.round = round;
+    net::Message request{.from = net::client_id(k),
+                         .to = net::server_id(s),
+                         .kind = net::MessageKind::kRetryRequest,
+                         .round = round};
     ++record_->retry_requests;
     send(std::move(request), round, [this, round, k, s](net::Message) {
       ServerState& state = server_states_[s];
@@ -238,13 +203,12 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
         trace_node(round, "retry-unanswered", net::server_id(s));
         return;
       }
-      net::Message response;
-      response.from = net::server_id(s);
-      response.to = net::client_id(k);
-      response.kind = net::MessageKind::kModelBroadcast;
-      response.round = round;
       // Byzantine PSs tamper retries too (fresh attack randomness).
-      response.payload = servers_[s].disseminate(round, k);
+      net::Message response{.from = net::server_id(s),
+                            .to = net::client_id(k),
+                            .kind = net::MessageKind::kModelBroadcast,
+                            .round = round,
+                            .payload = servers_[s].disseminate(round, k)};
       if (response.payload.empty()) return;  // crash-attack PS stays silent
       encode_for_wire(response);
       send(std::move(response), round, [this, round, k, s](net::Message m) {
@@ -276,19 +240,13 @@ void AsyncFedMsRun::finish_client(std::size_t k, std::uint64_t round) {
     // integer B over the P' candidates at hand — min(B, ⌊(P'−1)/2⌋),
     // never fewer than B while P' > 2B. Map order fixes the input order.
     std::vector<std::size_t> origins;
-    std::vector<fl::ModelVector> models;
-    origins.reserve(received);
-    models.reserve(received);
-    for (auto& [server, model] : client.candidates) {
-      origins.push_back(server);
-      models.push_back(std::move(model));
-    }
+    const std::vector<fl::ModelVector> models =
+        fl::ascending_models(client.candidates, &origins);
     std::size_t trim = fl::kNoTrim;
-    fl::ModelVector filtered = fl::apply_client_filter(
-        *filter_, models, config_.servers, config_.byzantine, &trim);
+    fl::ModelVector filtered = steps_[k].filter(models, &trim);
     if (filter_hook_)
       filter_hook_(FilterEvent{round, k, origins, models, trim, filtered});
-    learners_[k]->set_parameters(filtered);
+    steps_[k].install(filtered);
     client.last_feasible = filtered;
     trace_node(round, "filter", net::client_id(k));
   } else {
@@ -296,7 +254,7 @@ void AsyncFedMsRun::finish_client(std::size_t k, std::uint64_t round) {
     // longer out-vote the Byzantine minority — reuse the last model that
     // passed a feasible filter instead of ingesting a corruptible set.
     ++record_->fallbacks;
-    learners_[k]->set_parameters(client.last_feasible);
+    steps_[k].install(client.last_feasible);
     trace_node(round, "fallback", net::client_id(k));
   }
   record_->min_candidates = clients_done_ == 0
@@ -355,15 +313,15 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
     }
   }
   FEDMS_ASSERT(active_count_ > 0);
-  // Round-keyed streams: client k's PS-selection draws for this round are
-  // a pure function of (root seed, round, k), so a client joining at
-  // round t draws exactly the stream it would own had it been present
-  // from round 0, and membership history cannot shift sibling streams.
+  // Round-keyed streams: client k's draws for this round (PS choice,
+  // forgery, DP noise) are a pure function of (root seed, round, k), so a
+  // client joining at round t draws exactly the streams it would own had
+  // it been present from round 0, and membership history cannot shift
+  // sibling streams.
   if (options_.round_keyed_streams) {
     const core::SeedSequence round_seeds(
         seeds_.derive("round-streams", round));
-    for (std::size_t k = 0; k < config_.clients; ++k)
-      client_rngs_[k] = round_seeds.make_rng("ps-choice", k);
+    for (fl::ClientStep& step : steps_) step.rekey(round_seeds);
   }
   if (round_start_hook_) round_start_hook_(round);
   clients_done_ = 0;
@@ -384,25 +342,13 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
       {
         obs::Span span("async", "local_training", round, "client",
                        static_cast<std::int64_t>(k));
-        round_losses_[k] =
-            learners_[k]->local_training(config_.local_iterations);
+        round_losses_[k] = steps_[k].train();
       }
       trace_node(round, "trained", net::client_id(k));
       obs::Span upload_span("async", "upload", round, "client",
                             static_cast<std::int64_t>(k));
-      std::vector<float> payload = learners_[k]->parameters();
-      const auto targets = upload_->select_servers(
-          k, round, config_.servers, client_rngs_[k]);
-      FEDMS_ASSERT(!targets.empty());
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        const std::size_t s = targets[i];
-        net::Message m;
-        m.from = net::client_id(k);
-        m.to = net::server_id(s);
-        m.kind = net::MessageKind::kModelUpload;
-        m.round = round;
-        m.payload = (i + 1 == targets.size()) ? std::move(payload) : payload;
-        encode_for_wire(m);
+      for (net::Message& m : steps_[k].uploads(round)) {
+        const std::size_t s = m.to.index;
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
           ServerState& state = server_states_[s];
           if (state.crashed) return;  // wasted upload
@@ -447,12 +393,11 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
                      static_cast<std::int64_t>(s));
       for (std::size_t k = 0; k < config_.clients; ++k) {
         if (!client_active_[k]) continue;  // absent clients get nothing
-        net::Message m;
-        m.from = net::server_id(s);
-        m.to = net::client_id(k);
-        m.kind = net::MessageKind::kModelBroadcast;
-        m.round = round;
-        m.payload = servers_[s].disseminate(round, k);
+        net::Message m{.from = net::server_id(s),
+                       .to = net::client_id(k),
+                       .kind = net::MessageKind::kModelBroadcast,
+                       .round = round,
+                       .payload = servers_[s].disseminate(round, k)};
         if (m.payload.empty()) continue;  // crash-attack PS stays silent
         encode_for_wire(m);
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
@@ -482,21 +427,7 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
   record.mean_candidates /= double(active_count_);
   record.base.upload_seconds = t_aggregate - t0;
   record.base.broadcast_seconds = record.end_seconds - t_aggregate;
-  if ((round + 1) % config_.eval_every == 0 ||
-      round + 1 == config_.rounds) {
-    const std::size_t eval_count =
-        config_.eval_clients == 0
-            ? learners_.size()
-            : std::min(config_.eval_clients, learners_.size());
-    double acc_sum = 0.0, eval_loss_sum = 0.0;
-    for (std::size_t k = 0; k < eval_count; ++k) {
-      const fl::LearnerEval eval = learners_[k]->evaluate();
-      acc_sum += eval.accuracy;
-      eval_loss_sum += eval.loss;
-    }
-    record.base.eval_accuracy = acc_sum / double(eval_count);
-    record.base.eval_loss = eval_loss_sum / double(eval_count);
-  }
+  fl::evaluate_round(config_, round, learners_, record.base);
   record.base.uplink_bytes = uplink_.bytes - up_before.bytes;
   record.base.downlink_bytes = downlink_.bytes - down_before.bytes;
   record.base.uplink_messages = uplink_.messages - up_before.messages;

@@ -27,13 +27,14 @@
 // a given (seed, fault plan) replays bit-identically — the event-trace
 // hash in the result is the regression handle for that property.
 //
-// Wire encodings: the stateless fp16/int8 specs apply to every upload and
-// per-recipient broadcast, as in the synchronous loop.
+// Each client's side of the round — training, Byzantine forgery, DP,
+// upload encoding, Def() — is the shared fl::ClientStep; this engine only
+// schedules it. Wire encodings: the stateless fp16/int8 specs apply to
+// every upload and per-recipient broadcast, as in the synchronous loop.
 //
-// Unsupported extensions (sync-loop only, rejected at construction):
-// Byzantine clients, differential privacy, partial participation,
-// stateful wire encodings (delta, top-k), and `network_loss_rate`
-// (subsumed by FaultPlan::drop_rate).
+// Unsupported (sync-loop only, rejected at construction): partial
+// participation, stateful wire encodings (delta, top-k), and
+// `network_loss_rate` (subsumed by FaultPlan::drop_rate).
 #pragma once
 
 #include <cstdint>
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "fl/client_step.h"
 #include "fl/config.h"
 #include "fl/fedms.h"
 #include "net/latency.h"
@@ -194,8 +196,8 @@ class AsyncFedMsRun {
   // schedules its delivery event(s). `deliver` runs per arriving copy.
   void send(net::Message message, std::uint64_t round,
             std::function<void(net::Message)> deliver);
-  // Applies the run's stateless wire encoding to a model message (no-op
-  // for f32).
+  // Applies the run's stateless wire encoding to a broadcast (no-op for
+  // f32).
   void encode_for_wire(net::Message& message);
   void client_filter_deadline(std::size_t k, std::uint64_t round);
   void finish_client(std::size_t k, std::uint64_t round);
@@ -210,9 +212,9 @@ class AsyncFedMsRun {
   core::SeedSequence seeds_;  // root for round-keyed stream derivation
   std::vector<fl::ParameterServer> servers_;
   fl::AggregatorPtr filter_;
+  std::vector<fl::ClientStep> steps_;  // one per learner
   std::size_t quorum_ = 1;
-  fl::UploadStrategyPtr upload_;
-  std::optional<fl::WireChannel> wire_;  // stateless fp16/int8; unset = f32
+  std::optional<fl::WireChannel> wire_;  // broadcasts; unset = f32
   net::LatencyModel latency_;
   EventQueue queue_;
   FaultInjector faults_;
@@ -220,7 +222,6 @@ class AsyncFedMsRun {
   FilterHook filter_hook_;
   RoundCallback round_callback_;
   RoundStartHook round_start_hook_;
-  std::vector<core::Rng> client_rngs_;  // PS-selection streams
 
   // Crash/recovery handoff: the state a PS held when it went down, put
   // back verbatim when a ServerRecovery brings it up again.

@@ -11,7 +11,7 @@
 #include "data/partition.h"
 #include "fl/nn_learner.h"
 #include "runtime/telemetry.h"
-#include "testing/json_min.h"
+#include "core/json_min.h"
 
 namespace fedms::scenario {
 
@@ -63,7 +63,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario, std::uint64_t seed,
         core::Rng rng = seeds.make_rng("alpha-drift", round);
         const data::PartitionIndices pools = data::dirichlet_partition(
             data.train, fed.clients, event.value, rng,
-            scenario.workload.batch_size / 4 + 1);
+            fl::min_samples_per_client(scenario.workload));
         for (std::size_t k = 0; k < nn.size(); ++k)
           if (nn[k] != nullptr) nn[k]->set_pool(pools[k]);
       }
@@ -86,8 +86,8 @@ std::string ScenarioOutcome::to_json() const {
   std::snprintf(hash_hex, sizeof hash_hex, "0x%llx",
                 static_cast<unsigned long long>(result.trace_hash));
   std::ostringstream os;
-  os << "{\n  \"scenario\": \"" << testing::json_escape(name) << "\",\n"
-     << "  \"defense\": \"" << testing::json_escape(defense) << "\",\n"
+  os << "{\n  \"scenario\": \"" << core::json_escape(name) << "\",\n"
+     << "  \"defense\": \"" << core::json_escape(defense) << "\",\n"
      << "  \"seed\": \"" << seed_hex << "\",\n"
      << "  \"trace_hash\": \"" << hash_hex << "\",\n"
      << "  \"run\": " << run_json.str() << "\n}\n";

@@ -13,7 +13,7 @@ namespace fedms::scenario {
 
 namespace {
 
-using testing::Json;
+using core::Json;
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::runtime_error("bad scenario: " + what);

@@ -43,7 +43,7 @@
 #include "fl/config.h"
 #include "fl/experiment.h"
 #include "runtime/fault.h"
-#include "testing/json_min.h"
+#include "core/json_min.h"
 
 namespace fedms::scenario {
 
@@ -87,7 +87,7 @@ struct Scenario {
 
   // Strict parse: unknown keys, wrong types, malformed events, and any
   // check() violation throw std::runtime_error with a one-line message.
-  static Scenario from_json(const testing::Json& json);
+  static Scenario from_json(const core::Json& json);
   static Scenario parse(const std::string& text);
   // Reads and parses the file; the path is cited in errors.
   static Scenario load(const std::string& path);

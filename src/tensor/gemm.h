@@ -16,7 +16,7 @@
 // the valid region is written back. The k dimension is never padded.
 //
 // Numeric policy (uniform across all variants, documented here and in
-// docs/ARCHITECTURE.md): accumulation is float32 in microkernel registers,
+// ARCHITECTURE.md): accumulation is float32 in microkernel registers,
 // with partial sums spilled to C every KC=256 k-steps. The seed code mixed
 // float (matmul, matmul_transA) and double (matmul_transB) accumulation;
 // the blocked float policy keeps the three variants bit-consistent with

@@ -16,12 +16,15 @@
 #include "fl/quadratic_learner.h"
 #include "obs/obs.h"
 #include "runtime/async_fedms.h"
-#include "testing/json_min.h"
+#include "core/json_min.h"
 #include "transport/frame.h"
 #include "transport/node_runner.h"
 #include "transport/transport.h"
 
 namespace fedms::testing {
+
+using core::Json;
+using core::json_escape;
 
 namespace {
 
@@ -71,21 +74,6 @@ std::vector<fl::LearnerPtr> make_learners(
   return learners;
 }
 
-// Replays the run's Byzantine PS placement (fl::FedMsRun's derivation).
-std::vector<bool> byzantine_mask(const fl::FedMsConfig& fed) {
-  std::vector<bool> mask(fed.servers, false);
-  if (fed.byzantine_placement == "first") {
-    for (std::size_t i = 0; i < fed.byzantine; ++i) mask[i] = true;
-  } else {
-    const core::SeedSequence seeds(fed.seed);
-    core::Rng rng = seeds.make_rng("byz-placement");
-    for (const std::size_t i :
-         rng.sample_without_replacement(fed.servers, fed.byzantine))
-      mask[i] = true;
-  }
-  return mask;
-}
-
 // Per-run filter observer: applies the optional under-trim plant, checks
 // the envelope/finiteness oracle, and samples candidate models for the
 // wire oracle.
@@ -104,7 +92,7 @@ struct FilterObserver {
   std::vector<fl::ModelVector> wire_sample;
 
   FilterObserver(const FuzzSchedule& schedule, const FuzzOptions& options)
-      : is_byzantine(byzantine_mask(schedule.fed_config())),
+      : is_byzantine(fl::byzantine_servers(schedule.fed_config())),
         attack_nonfinite(byz::attack_traits(schedule.attack).nonfinite),
         inject(options.inject_under_trim),
         inject_drift(options.inject_mode_drift),
@@ -153,9 +141,23 @@ struct FilterObserver {
   }
 };
 
+using RoundCrcs = std::vector<std::vector<std::uint32_t>>;  // [round][client]
+
+// Records every round's per-client model CRCs through `run`'s callback.
+template <typename Run>
+void capture_round_crcs(Run& run, RoundCrcs& crcs) {
+  run.set_round_callback(
+      [&crcs](std::uint64_t, const std::vector<fl::LearnerPtr>& learners) {
+        crcs.emplace_back();
+        for (const auto& learner : learners)
+          crcs.back().push_back(
+              transport::crc32c_floats(learner->parameters()));
+      });
+}
+
 struct AsyncCapture {
   runtime::AsyncRunResult result;
-  std::vector<std::vector<std::uint32_t>> round_crcs;  // [round][client]
+  RoundCrcs round_crcs;
 };
 
 AsyncCapture run_async(const FuzzSchedule& schedule,
@@ -171,13 +173,7 @@ AsyncCapture run_async(const FuzzSchedule& schedule,
     run.set_message_hook(scripted->hook());
   }
   if (observer != nullptr) run.set_filter_hook(observer->hook());
-  run.set_round_callback(
-      [&](std::uint64_t, const std::vector<fl::LearnerPtr>& learners) {
-        capture.round_crcs.emplace_back();
-        for (const auto& learner : learners)
-          capture.round_crcs.back().push_back(
-              transport::crc32c_floats(learner->parameters()));
-      });
+  capture_round_crcs(run, capture.round_crcs);
   capture.result = run.run();
   return capture;
 }
@@ -188,15 +184,9 @@ FuzzOutcome run_parity(const FuzzSchedule& schedule,
   const data::QuadraticProblem problem = make_problem(schedule);
 
   // Sync baseline.
-  std::vector<std::vector<std::uint32_t>> sync_crcs;
+  RoundCrcs sync_crcs;
   fl::FedMsRun sync(fed, make_learners(problem, fed));
-  sync.set_round_callback(
-      [&](std::uint64_t, const std::vector<fl::LearnerPtr>& learners) {
-        sync_crcs.emplace_back();
-        for (const auto& learner : learners)
-          sync_crcs.back().push_back(
-              transport::crc32c_floats(learner->parameters()));
-      });
+  capture_round_crcs(sync, sync_crcs);
   const fl::RunResult sync_result = sync.run();
 
   // Async run with telemetry spans captured for the stage-order oracle.
@@ -338,15 +328,11 @@ FuzzOutcome run_transport(const FuzzSchedule& schedule) {
   workload.model = "mlp";
   workload.mlp_hidden = {8};
 
-  std::vector<std::uint32_t> sync_crcs;
+  RoundCrcs round_crcs;
   fl::Experiment experiment = fl::make_experiment(workload, fed);
-  experiment.run->set_round_callback(
-      [&](std::uint64_t round, const std::vector<fl::LearnerPtr>& learners) {
-        if (round + 1 != fed.rounds) return;
-        for (const auto& learner : learners)
-          sync_crcs.push_back(transport::crc32c_floats(learner->parameters()));
-      });
+  capture_round_crcs(*experiment.run, round_crcs);
   const fl::RunResult sync_result = experiment.run->run();
+  const std::vector<std::uint32_t>& sync_crcs = round_crcs.back();
 
   transport::InMemoryHub hub;
   hub.set_deterministic(true);

@@ -9,9 +9,13 @@
 
 #include "core/rng.h"
 #include "core/rounding.h"
-#include "testing/json_min.h"
+#include "core/json_min.h"
 
 namespace fedms::testing {
+
+using core::Json;
+using core::json_double;
+using core::json_escape;
 
 namespace {
 

@@ -1,7 +1,5 @@
 #include "transport/node_runner.h"
 
-#include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -11,12 +9,11 @@
 #include <thread>
 #include <utility>
 
-#include "byz/attack.h"
 #include "core/contracts.h"
 #include "core/rng.h"
 #include "fl/aggregators.h"
+#include "fl/client_step.h"
 #include "fl/server.h"
-#include "fl/upload.h"
 #include "fl/wire_encoding.h"
 #include "obs/obs.h"
 #include "transport/frame.h"
@@ -50,15 +47,43 @@ void write_links(std::ostringstream& out, const char* tag,
         << link.corrupt_frames << '\n';
 }
 
+// Receives round `round`'s frames until `syncs` round-sync frames have
+// arrived, keeping each `expected` model frame in `models` by sender
+// index (stateful payloads decoded through `channels` when non-null).
+// Anything else — a timeout, another round, another kind — is a
+// protocol error.
+void collect_round(Transport& transport, std::uint64_t round,
+                   std::size_t syncs, net::MessageKind expected,
+                   double timeout_seconds, fl::WireChannelBook* channels,
+                   std::map<std::size_t, fl::ModelVector>& models) {
+  const net::NodeId self = transport.self();
+  for (std::size_t seen = 0; seen < syncs;) {
+    auto m = transport.receive(timeout_seconds);
+    if (!m.has_value())
+      protocol_error(self, "timeout waiting for round " +
+                               std::to_string(round) + " " +
+                               net::to_string(expected) + " frames");
+    if (m->round != round)
+      protocol_error(self, "message from round " + std::to_string(m->round) +
+                               " during round " + std::to_string(round));
+    if (m->kind == net::MessageKind::kRoundSync) {
+      ++seen;
+    } else if (m->kind == expected) {
+      if (channels) fl::finish_wire_payload(*m, *channels);
+      models.emplace(m->from.index, std::move(m->payload));
+    } else {
+      protocol_error(self, std::string("unexpected ") +
+                               net::to_string(m->kind) + " frame");
+    }
+  }
+}
+
 }  // namespace
 
 bool client_participates(const fl::FedMsConfig& fed, core::Rng& rng,
                          std::size_t k) {
-  const std::size_t active = std::max<std::size_t>(
-      1, static_cast<std::size_t>(fed.participation * double(fed.clients) +
-                                  0.5));
-  for (const std::size_t drawn :
-       rng.sample_without_replacement(fed.clients, active))
+  for (const std::size_t drawn : rng.sample_without_replacement(
+           fed.clients, fl::participant_count(fed)))
     if (drawn == k) return true;
   return false;
 }
@@ -69,8 +94,6 @@ void check_transport_supported(const fl::FedMsConfig& fed) {
       throw std::runtime_error(
           std::string("transport engine does not support ") + what);
   };
-  reject(fed.byzantine_clients > 0, "byzantine_clients");
-  reject(fed.dp_clip_norm > 0.0, "differential privacy");
   // Uniform partial participation is derivable per node (every process
   // replays the shared "participation" seed stream); power-of-choice is
   // not — it ranks clients by losses only the simulator sees globally.
@@ -177,24 +200,20 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
   FEDMS_EXPECTS(k < fed.clients);
   FEDMS_EXPECTS(transport.self() == net::client_id(k));
 
-  const core::SeedSequence seeds(fed.seed);
   fl::LearnerPtr learner = fl::make_nn_learner(data, workload, fed, k);
   const fl::AggregatorPtr filter = fl::make_aggregator(fed.client_filter);
   // Same root batch, scorer model, and eval path as the simulator, so the
   // fedgreed selection — and hence --verify — is bit-identical per client.
   fl::install_fedgreed_scorer(*filter, data, workload, fed);
-  const fl::UploadStrategyPtr upload = fl::make_upload_strategy(fed.upload);
-  core::Rng ps_choice = seeds.make_rng("ps-choice", k);
-  core::Rng participation_rng = seeds.make_rng("participation");
+  fl::ClientStep step(fed, k, *learner, *filter);
+  core::Rng participation_rng =
+      core::SeedSequence(fed.seed).make_rng("participation");
 
-  // Negotiated wire encoding: uploads are encoded per-target (one stream
-  // per PS link, so delta/top-k references track what that PS decoded);
-  // broadcasts arrive in the encoding our hello announced and stateful
-  // payloads are materialized per-source stream. f32 skips all of it.
-  fl::WireEncodingSpec wire_spec;
-  FEDMS_EXPECTS(fl::parse_wire_encoding(fed.wire_encoding, &wire_spec).empty());
-  const bool wired = !wire_spec.is_f32();
-  fl::WireChannelBook upload_channels(wire_spec);     // keyed by target PS
+  // Broadcasts arrive in the encoding our hello announced; stateful
+  // payloads are materialized per source PS stream. (Uploads are encoded
+  // per target PS stream by the step.)
+  const fl::WireEncodingSpec wire_spec =
+      fl::wire_encoding_spec(fed.wire_encoding);
   fl::WireChannelBook broadcast_channels(wire_spec);  // keyed by source PS
 
   obs::set_thread_label("client" + std::to_string(k));
@@ -205,9 +224,9 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
 
   for (std::uint64_t round = 0; round < fed.rounds; ++round) {
     // Partial participation: replay the simulator's shared draw. A
-    // sitting-out client skips training and upload (its ps-choice stream
-    // stays untouched, as in the simulator) but still round-syncs so the
-    // PSs' barriers close, and still collects + filters broadcasts.
+    // sitting-out client skips training and upload (its streams stay
+    // untouched, as in the simulator) but still round-syncs so the PSs'
+    // barriers close, and still collects + filters broadcasts.
     const bool participates =
         fed.participation >= 1.0 ||
         client_participates(fed, participation_rng, k);
@@ -216,49 +235,24 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
     if (participates) {
       obs::Span span("node", "local_training", round, "client",
                      static_cast<std::int64_t>(k));
-      learner->local_training(fed.local_iterations);
+      step.train();
     }
 
     // ---- Stage 2: upload to the selected PS set, then round-sync all ----
     {
       obs::Span span("node", "upload", round, "client",
                      static_cast<std::int64_t>(k));
-      if (participates) {
-        const auto targets =
-            upload->select_servers(k, round, fed.servers, ps_choice);
-        FEDMS_ASSERT(!targets.empty());
-        std::vector<float> payload = learner->parameters();
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-          net::Message m;
-          m.from = report.self;
-          m.to = net::server_id(targets[i]);
-          m.kind = net::MessageKind::kModelUpload;
-          m.round = round;
-          if (wired) {
-            // Sender-side round-trip: the payload we carry is exactly what
-            // the PS will decode, so simulator and transport stay
-            // bit-for-bit equal under every encoding.
-            fl::WireEncodeResult wire =
-                upload_channels.channel(m.to).encode(payload);
-            m.payload = std::move(wire.decoded);
-            m.encoded = std::move(wire.bytes);
-            m.encoded_bytes = m.encoded.size();
-            m.wire_format = wire_spec.format_tag();
-          } else {
-            m.payload =
-                (i + 1 == targets.size()) ? std::move(payload) : payload;
-          }
+      // Encoded uploads keep their bytes: the payload we carry is exactly
+      // what the PS will decode, so simulator and transport stay
+      // bit-for-bit equal under every encoding.
+      if (participates)
+        for (net::Message& m : step.uploads(round, /*keep_encoded=*/true))
           transport.send(std::move(m));
-        }
-      }
-      for (std::size_t p = 0; p < fed.servers; ++p) {
-        net::Message sync;
-        sync.from = report.self;
-        sync.to = net::server_id(p);
-        sync.kind = net::MessageKind::kRoundSync;
-        sync.round = round;
-        transport.send(std::move(sync));
-      }
+      for (std::size_t p = 0; p < fed.servers; ++p)
+        transport.send(net::Message{.from = report.self,
+                                    .to = net::server_id(p),
+                                    .kind = net::MessageKind::kRoundSync,
+                                    .round = round});
     }
 
     // ---- Stage 3: collect broadcasts until every PS round-synced ----
@@ -266,28 +260,10 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
     {
       obs::Span span("node", "dissemination", round, "client",
                      static_cast<std::int64_t>(k));
-      std::size_t syncs = 0;
-      while (syncs < fed.servers) {
-        auto m = transport.receive(timeout_seconds);
-        if (!m.has_value())
-          protocol_error(report.self,
-                         "timeout waiting for round " +
-                             std::to_string(round) + " broadcasts");
-        if (m->round != round)
-          protocol_error(report.self, "message from round " +
-                                          std::to_string(m->round) +
-                                          " during round " +
-                                          std::to_string(round));
-        if (m->kind == net::MessageKind::kRoundSync) {
-          ++syncs;
-        } else if (m->kind == net::MessageKind::kModelBroadcast) {
-          if (wired) fl::finish_wire_payload(*m, broadcast_channels);
-          candidates.emplace(m->from.index, std::move(m->payload));
-        } else {
-          protocol_error(report.self,
-                         std::string("unexpected ") + net::to_string(m->kind) + " frame");
-        }
-      }
+      collect_round(transport, round, fed.servers,
+                    net::MessageKind::kModelBroadcast, timeout_seconds,
+                    wire_spec.is_f32() ? nullptr : &broadcast_channels,
+                    candidates);
     }
 
     // Def() over candidates in ascending server order (the simulator's
@@ -296,15 +272,10 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
     if (!candidates.empty()) {
       obs::Span span("node", "filter", round, "client",
                      static_cast<std::int64_t>(k));
-      std::vector<fl::ModelVector> received;
-      received.reserve(candidates.size());
-      for (auto& [server, model] : candidates)
-        received.push_back(std::move(model));
-      learner->set_parameters(fl::apply_client_filter(
-          *filter, received, fed.servers, fed.byzantine));
+      step.install(step.filter(fl::ascending_models(candidates)));
     }
 
-    if ((round + 1) % fed.eval_every == 0 || round + 1 == fed.rounds) {
+    if (fl::eval_due(fed, round)) {
       const fl::LearnerEval eval = learner->evaluate();
       report.final_accuracy = eval.accuracy;
       report.final_eval_loss = eval.loss;
@@ -325,33 +296,17 @@ NodeReport run_server_node(Transport& transport,
   FEDMS_EXPECTS(p < fed.servers);
   FEDMS_EXPECTS(transport.self() == net::server_id(p));
 
-  // Re-derive this PS's identity and streams exactly as FedMsRun does;
-  // "byz-placement" is consumed identically in every process.
-  const core::SeedSequence seeds(fed.seed);
-  std::vector<bool> is_byzantine(fed.servers, false);
-  if (fed.byzantine_placement == "first") {
-    for (std::size_t i = 0; i < fed.byzantine; ++i) is_byzantine[i] = true;
-  } else {
-    core::Rng placement_rng = seeds.make_rng("byz-placement");
-    for (const std::size_t i : placement_rng.sample_without_replacement(
-             fed.servers, fed.byzantine))
-      is_byzantine[i] = true;
-  }
-  byz::AttackPtr attack;
-  if (is_byzantine[p]) attack = byz::make_attack(fed.attack);
-  fl::ParameterServer server(p, std::move(attack),
-                             seeds.make_rng("attack", p));
-  if (fed.server_aggregator != "mean")
-    server.set_aggregator(std::shared_ptr<const fl::Aggregator>(
-        fl::make_aggregator(fed.server_aggregator)));
-  server.set_initial_model(fl::initial_model(workload, fed));
+  // Built exactly as every engine builds its PSs: "byz-placement" and
+  // this PS's "attack" stream are re-derived identically in every process.
+  fl::ParameterServer server =
+      fl::make_parameter_server(fed, p, fl::initial_model(workload, fed));
 
   // Upload decode is self-describing per frame; one stream per client so
   // stateful references track each sender. Broadcast encode uses whatever
   // encoding each client's hello announced (queried per round — by the
   // dissemination stage every client has identified itself).
-  fl::WireEncodingSpec wire_spec;
-  FEDMS_EXPECTS(fl::parse_wire_encoding(fed.wire_encoding, &wire_spec).empty());
+  const fl::WireEncodingSpec wire_spec =
+      fl::wire_encoding_spec(fed.wire_encoding);
   fl::WireChannelBook upload_channels(wire_spec);     // keyed by client
   fl::WireChannelBook broadcast_channels(wire_spec);  // keyed by client
 
@@ -367,34 +322,13 @@ NodeReport run_server_node(Transport& transport,
       obs::Span span("node", "aggregation", round, "server",
                      static_cast<std::int64_t>(p));
       std::map<std::size_t, fl::ModelVector> uploads;
-      std::size_t syncs = 0;
-      while (syncs < fed.clients) {
-        auto m = transport.receive(timeout_seconds);
-        if (!m.has_value())
-          protocol_error(report.self, "timeout waiting for round " +
-                                          std::to_string(round) + " uploads");
-        if (m->round != round)
-          protocol_error(report.self, "message from round " +
-                                          std::to_string(m->round) +
-                                          " during round " +
-                                          std::to_string(round));
-        if (m->kind == net::MessageKind::kRoundSync) {
-          ++syncs;
-        } else if (m->kind == net::MessageKind::kModelUpload) {
-          fl::finish_wire_payload(*m, upload_channels);
-          uploads.emplace(m->from.index, std::move(m->payload));
-        } else {
-          protocol_error(report.self,
-                         std::string("unexpected ") + net::to_string(m->kind) + " frame");
-        }
-      }
-
+      collect_round(transport, round, fed.clients,
+                    net::MessageKind::kModelUpload, timeout_seconds,
+                    &upload_channels, uploads);
       // Mean in ascending client order — float sums are order-dependent
       // and this is the simulator's inbox order.
-      std::vector<fl::ModelVector> received;
-      received.reserve(uploads.size());
-      for (auto& [client, model] : uploads)
-        received.push_back(std::move(model));
+      const std::vector<fl::ModelVector> received =
+          fl::ascending_models(uploads);
       server.aggregate_round(round, received);
     }
 
@@ -404,12 +338,11 @@ NodeReport run_server_node(Transport& transport,
     obs::Span span("node", "dissemination", round, "server",
                    static_cast<std::int64_t>(p));
     for (std::size_t k = 0; k < fed.clients; ++k) {
-      net::Message m;
-      m.from = report.self;
-      m.to = net::client_id(k);
-      m.kind = net::MessageKind::kModelBroadcast;
-      m.round = round;
-      m.payload = server.disseminate(round, k);
+      net::Message m{.from = report.self,
+                     .to = net::client_id(k),
+                     .kind = net::MessageKind::kModelBroadcast,
+                     .round = round,
+                     .payload = server.disseminate(round, k)};
       // Empty payload = crashed/silent PS: nothing goes on the wire (the
       // client's wire stream does not advance either — keyframes are
       // per-frame flags, so a gap desynchronizes nothing).
@@ -418,26 +351,18 @@ NodeReport run_server_node(Transport& transport,
       fl::WireEncodingSpec spec;
       if (!fl::parse_wire_encoding(announced, &spec).empty())
         spec = fl::WireEncodingSpec{};  // unintelligible announce -> f32
-      if (!spec.is_f32()) {
-        // Encoded after any Byzantine tampering: the wire carries what the
-        // attack produced, quantized the way this client asked for.
-        fl::WireEncodeResult wire =
-            broadcast_channels.channel(m.to, spec).encode(m.payload);
-        m.payload = std::move(wire.decoded);
-        m.encoded = std::move(wire.bytes);
-        m.encoded_bytes = m.encoded.size();
-        m.wire_format = spec.format_tag();
-      }
+      // Encoded after any Byzantine tampering: the wire carries what the
+      // attack produced, quantized the way this client asked for.
+      if (!spec.is_f32())
+        fl::encode_payload(m, broadcast_channels.channel(m.to, spec),
+                           m.payload, /*keep_bytes=*/true);
       transport.send(std::move(m));
     }
-    for (std::size_t k = 0; k < fed.clients; ++k) {
-      net::Message sync;
-      sync.from = report.self;
-      sync.to = net::client_id(k);
-      sync.kind = net::MessageKind::kRoundSync;
-      sync.round = round;
-      transport.send(std::move(sync));
-    }
+    for (std::size_t k = 0; k < fed.clients; ++k)
+      transport.send(net::Message{.from = report.self,
+                                  .to = net::client_id(k),
+                                  .kind = net::MessageKind::kRoundSync,
+                                  .round = round});
   }
 
   report.model_crc = crc32c_floats(server.honest_aggregate());
@@ -491,41 +416,33 @@ TransportRunSummary run_transport_experiment(
   const fl::Workload data = fl::make_workload(workload, fed);
 
   // All endpoints registered before any node thread starts, so no send
-  // can race an unregistered receiver.
-  std::vector<std::unique_ptr<InMemoryTransport>> client_endpoints;
-  std::vector<std::unique_ptr<InMemoryTransport>> server_endpoints;
-  for (std::size_t k = 0; k < fed.clients; ++k)
-    client_endpoints.push_back(
-        hub.make_endpoint(net::client_id(k), fed.wire_encoding));
-  for (std::size_t p = 0; p < fed.servers; ++p)
-    server_endpoints.push_back(
-        hub.make_endpoint(net::server_id(p), fed.wire_encoding));
+  // can race an unregistered receiver. Node i < K is client i; the rest
+  // are the PSs.
+  const std::size_t nodes = fed.clients + fed.servers;
+  std::vector<std::unique_ptr<InMemoryTransport>> endpoints;
+  for (std::size_t i = 0; i < nodes; ++i)
+    endpoints.push_back(hub.make_endpoint(
+        i < fed.clients ? net::client_id(i) : net::server_id(i - fed.clients),
+        fed.wire_encoding));
 
   TransportRunSummary summary;
   summary.clients.resize(fed.clients);
   summary.servers.resize(fed.servers);
-  std::vector<std::exception_ptr> errors(fed.clients + fed.servers);
-
+  std::vector<std::exception_ptr> errors(nodes);
   std::vector<std::thread> threads;
-  threads.reserve(fed.clients + fed.servers);
-  for (std::size_t k = 0; k < fed.clients; ++k) {
-    threads.emplace_back([&, k] {
+  threads.reserve(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    threads.emplace_back([&, i] {
       try {
-        summary.clients[k] =
-            run_client_node(*client_endpoints[k], data, workload, fed, k,
-                            timeout_seconds);
+        if (i < fed.clients)
+          summary.clients[i] = run_client_node(*endpoints[i], data, workload,
+                                               fed, i, timeout_seconds);
+        else
+          summary.servers[i - fed.clients] =
+              run_server_node(*endpoints[i], workload, fed, i - fed.clients,
+                              timeout_seconds);
       } catch (...) {
-        errors[k] = std::current_exception();
-      }
-    });
-  }
-  for (std::size_t p = 0; p < fed.servers; ++p) {
-    threads.emplace_back([&, p] {
-      try {
-        summary.servers[p] = run_server_node(*server_endpoints[p], workload,
-                                             fed, p, timeout_seconds);
-      } catch (...) {
-        errors[fed.clients + p] = std::current_exception();
+        errors[i] = std::current_exception();
       }
     });
   }

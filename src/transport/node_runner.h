@@ -1,6 +1,9 @@
 // Per-node Fed-MS protocol engine: one client or one parameter server
 // driven over a Transport, producing bit-identical results to the
-// round-synchronous fl::FedMsRun for the same seed and config.
+// round-synchronous fl::FedMsRun for the same seed and config. A client
+// node schedules the shared fl::ClientStep (training, Byzantine forgery,
+// DP, upload encoding, Def()); a PS node is fl::make_parameter_server's
+// PS. What is left here is round-sync framing and per-peer encodings.
 //
 // Determinism contract. Every stochastic decision in FedMsRun derives
 // from the root seed via named core::SeedSequence streams, and every
@@ -46,8 +49,8 @@
 namespace fedms::transport {
 
 // Throws std::runtime_error when (fed) uses a feature the transport
-// engine does not replicate (Byzantine clients, DP noise, partial
-// participation, simulated link loss, eval subsets).
+// engine does not replicate (loss-ranked participation, simulated link
+// loss, eval subsets).
 void check_transport_supported(const fl::FedMsConfig& fed);
 
 // Replays the simulator's uniform participation draw for one round and

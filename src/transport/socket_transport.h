@@ -109,8 +109,6 @@ class SocketTransport final : public Transport {
   // From the peer's hello (listen_and_accept side); "f32" otherwise.
   std::string peer_encoding(const net::NodeId& peer) const override;
 
-  std::size_t peer_count() const { return peers_.size(); }
-
  private:
   struct Peer {
     int fd = -1;

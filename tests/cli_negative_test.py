@@ -198,12 +198,7 @@ def main():
     expect_error(sim, ["--wire-encoding", "delta+int8", "--runtime", "async"],
                  ["--wire-encoding", "requires --runtime sync"], one_line=True)
     # Extensions the event-driven engine does not model are CLI errors,
-    # not contract aborts.
-    expect_error(sim, ["--runtime", "async", "--dp-clip", "1"],
-                 ["--dp-clip requires --runtime sync"], one_line=True)
-    expect_error(sim, ["--runtime", "async", "--byzantine-clients", "2"],
-                 ["--byzantine-clients requires --runtime sync"],
-                 one_line=True)
+    # not contract aborts. (Byzantine clients and DP run in every engine.)
     expect_error(sim, ["--runtime", "async", "--participation", "0.5"],
                  ["--participation", "requires --runtime sync"],
                  one_line=True)
@@ -212,6 +207,14 @@ def main():
     expect_error(node, ["--mode", "launch", "--wire-encoding", "delta+int8",
                         "--corrupt-rate", "0.1"],
                  ["--corrupt-rate", "desynchronize"])
+    # A dataset too small to give every client its minimum share is a
+    # usage error in both tools, not a partition precondition abort.
+    expect_error(sim, ["--samples", "200"],
+                 ["--samples 200", "raise --samples or lower --clients"],
+                 one_line=True)
+    expect_error(node, ["--mode", "inmem", "--samples", "20"],
+                 ["--samples 20", "raise --samples or lower --clients"],
+                 one_line=True)
 
     if failures:
         for f in failures:

@@ -143,6 +143,26 @@ TEST(LocalTestShards, FederatedRunStillReportsSensibleAccuracy) {
   EXPECT_GT(*result.final_eval().eval_accuracy, 0.5);
 }
 
+TEST(Workload, CheckWorkloadMirrorsThePartitionFloor) {
+  // 8 clients × (32/4 + 1) = 72 training samples are needed; the train
+  // split is n − round(n/4). n = 96 leaves exactly 72, n = 95 leaves 71.
+  WorkloadConfig workload = tiny_workload();
+  const FedMsConfig fed = tiny_fed();
+  for (std::size_t n = 90; n <= 100; ++n) {
+    workload.samples = n;
+    const bool fits = check_workload(workload, fed).empty();
+    EXPECT_EQ(fits, n >= 96) << "samples " << n;
+    if (fits) {
+      const Workload data = make_workload(workload, fed);
+      EXPECT_EQ(data.partition.size(), fed.clients);
+    }
+  }
+  workload.samples = 95;
+  EXPECT_DEATH((void)make_workload(workload, fed), "Precondition");
+  workload.samples = 1;
+  EXPECT_FALSE(check_workload(workload, fed).empty());
+}
+
 TEST(ExperimentDeath, UnknownModelNameAborts) {
   WorkloadConfig workload = tiny_workload();
   workload.model = "resnet";

@@ -146,9 +146,16 @@ TEST(TransportEngine, RejectsUnsupportedConfigs) {
   fl::FedMsConfig fed = small_fed();
   fed.network_loss_rate = 0.1;
   EXPECT_THROW(check_transport_supported(fed), std::runtime_error);
+  // Byzantine clients and DP run in the shared client step, so the
+  // transport engine takes them like the simulator does.
   fed = small_fed();
   fed.byzantine_clients = 1;
   fed.client_attack = "signflip";
+  EXPECT_NO_THROW(check_transport_supported(fed));
+  fed.dp_clip_norm = 1.0;
+  EXPECT_NO_THROW(check_transport_supported(fed));
+  fed = small_fed();
+  fed.eval_clients = 2;
   EXPECT_THROW(check_transport_supported(fed), std::runtime_error);
 
   // Uniform partial participation is supported (the shared seed stream is

@@ -37,7 +37,7 @@
 #include "fl/aggregators.h"
 #include "scenario/engine.h"
 #include "scenario/scenario.h"
-#include "testing/json_min.h"
+#include "core/json_min.h"
 
 namespace {
 
@@ -235,16 +235,16 @@ int main(int argc, char** argv) {
     std::snprintf(buffer, sizeof buffer, "%.6f", value);
     return std::string(buffer);
   };
-  os << "{\n  \"scenario\": \"" << testing::json_escape(base.name)
+  os << "{\n  \"scenario\": \"" << core::json_escape(base.name)
      << "\",\n  \"seeds\": " << seeds << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     char hash_hex[32];
     std::snprintf(hash_hex, sizeof hash_hex, "0x%llx",
                   static_cast<unsigned long long>(results[i].trace_hash));
     os << "    {\"defense\": \""
-       << testing::json_escape(defenses[cells[i].defense_index])
+       << core::json_escape(defenses[cells[i].defense_index])
        << "\", \"attack\": \""
-       << testing::json_escape(attacks[cells[i].attack_index])
+       << core::json_escape(attacks[cells[i].attack_index])
        << "\", \"seed\": " << cells[i].seed << ", \"accuracy\": "
        << fmt(results[i].accuracy) << ", \"trace_hash\": \"" << hash_hex
        << "\"}" << (i + 1 < cells.size() ? "," : "") << "\n";
@@ -263,8 +263,8 @@ int main(int argc, char** argv) {
         lo = std::fmin(lo, accuracy);
         hi = std::fmax(hi, accuracy);
       }
-      os << "    {\"defense\": \"" << testing::json_escape(defenses[d])
-         << "\", \"attack\": \"" << testing::json_escape(attacks[a])
+      os << "    {\"defense\": \"" << core::json_escape(defenses[d])
+         << "\", \"attack\": \"" << core::json_escape(attacks[a])
          << "\", \"mean\": " << fmt(sum / double(seeds)) << ", \"min\": "
          << fmt(lo) << ", \"max\": " << fmt(hi) << "}"
          << (d + 1 < defenses.size() || a + 1 < attacks.size() ? "," : "")

@@ -576,6 +576,9 @@ int main(int argc, char** argv) {
     // errors) instead of letting validate()'s contracts abort.
     if (const std::string e = cli.fed.check(); !e.empty())
       throw std::runtime_error(e);
+    if (const std::string e = fl::check_workload(cli.workload, cli.fed);
+        !e.empty())
+      throw std::runtime_error(e);
     if (const std::string e = fl::check_aggregator_spec(cli.fed.client_filter);
         !e.empty())
       throw std::runtime_error("--client-filter: " + e);

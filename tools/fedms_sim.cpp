@@ -159,6 +159,8 @@ int main(int argc, char** argv) {
     return 1;
   };
   if (const std::string e = fed.check(); !e.empty()) return cli_error(e);
+  if (const std::string e = fl::check_workload(workload, fed); !e.empty())
+    return cli_error(e);
   if (const std::string e = fl::check_aggregator_spec(fed.client_filter);
       !e.empty())
     return cli_error("--client-filter: " + e);
@@ -198,10 +200,6 @@ int main(int argc, char** argv) {
                        "\" requires --runtime sync (the event-driven "
                        "engine has no per-link wire streams; use f32, fp16 "
                        "or int8)");
-    if (fed.dp_clip_norm > 0.0)
-      return cli_error("--dp-clip requires --runtime sync");
-    if (fed.byzantine_clients > 0)
-      return cli_error("--byzantine-clients requires --runtime sync");
     if (fed.participation < 1.0)
       return cli_error("--participation below 1 requires --runtime sync");
     if (fed.network_loss_rate > 0.0)
