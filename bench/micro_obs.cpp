@@ -11,8 +11,9 @@
 //                           tick increment);
 //   * counter_disabled_ns / counter_enabled_ns — Counter::add.
 //
-// Plain executable printing one JSON object to stdout; scripts/bench.sh
-// folds it into BENCH_PR<N>.json. `--quick` shrinks the timing budget.
+// Plain executable printing one JSON object to stdout; scripts/check.sh
+// fails when span_disabled_ns exceeds 10 ns. `--quick` shrinks the timing
+// budget.
 
 #include <chrono>
 #include <cstdio>

@@ -16,10 +16,12 @@
 // pinned elsewhere (fedms_node --runtime eventloop --verify); this bench
 // is about throughput.
 //
-// Prints one JSON object to stdout (scripts/bench.sh folds it into
-// BENCH_PR6.json): rounds/s, p99 per-stage latencies derived from the
-// existing obs span instrumentation fed through obs histograms, and
-// bytes/s in each direction. Human-readable progress goes to stderr.
+// Prints one JSON object to stdout: rounds/s, p99 per-stage latencies
+// derived from the existing obs span instrumentation fed through obs
+// histograms, bytes/s in each direction and the server's degraded-path
+// counters. Human-readable progress goes to stderr. Every swarm client
+// drains its broadcasts, so a slow-consumer eviction is a server fault:
+// the bench exits 1 when `evicted_slow` is nonzero.
 //
 //   ulimit -n 16384   # or more; the bench raises the soft limit itself
 //                     # when the hard limit allows
@@ -424,6 +426,13 @@ int main(int argc, char** argv) {
                  "active)\n",
                  clients, static_cast<unsigned long long>(rounds),
                  total_seconds, double(rounds) / denominator);
+    if (server->evicted_slow() > 0) {
+      std::fprintf(stderr,
+                   "soak: the server evicted %llu healthy client(s) as "
+                   "slow consumers\n",
+                   static_cast<unsigned long long>(server->evicted_slow()));
+      return 1;
+    }
     return 0;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "soak: %s\n", error.what());

@@ -9,8 +9,8 @@
 //                           (jobs == hardware_concurrency is recorded so
 //                           the report documents the saturation point).
 //
-// Plain executable printing one JSON object to stdout; scripts/bench.sh
-// folds it into BENCH_PR<N>.json. `--quick` shrinks the grid.
+// Plain executable printing one JSON object to stdout (the
+// bench_sweep_throughput_smoke ctest runs it). `--quick` shrinks the grid.
 
 #include <algorithm>
 #include <chrono>

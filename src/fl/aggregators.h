@@ -134,7 +134,7 @@ ModelVector trimmed_mean(const std::vector<ModelVector>& models,
                          std::size_t trim);
 
 // The seed's per-coordinate gather + full-sort implementation, kept as the
-// oracle for the equivalence tests and the baseline in micro_aggregators.
+// oracle for the equivalence, determinism and sharded-filter tests.
 // Identical semantics (including NaN-sorts-as-+∞), and since the
 // determinism contract identical BITS: it runs the same canonical
 // per-column arithmetic as trimmed_mean, just over a fully sorted column.

@@ -50,7 +50,7 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
              const float* b, float* c, float beta);
 
 // Unblocked ijk reference with float accumulation and no zero-skip; the
-// oracle for the equivalence tests (and the baseline in bench/micro_gemm).
+// oracle for the equivalence tests in tests/tensor_gemm_test.cpp.
 void gemm_reference(std::size_t m, std::size_t n, std::size_t k,
                     const float* a, const float* b, float* c);
 
