@@ -35,11 +35,13 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/cli.h"
+#include "core/scratch_dir.h"
 #include "core/thread_pool.h"
 #include "eventloop/server.h"
 #include "fl/aggregators.h"
@@ -288,11 +290,10 @@ int main(int argc, char** argv) {
       throw std::runtime_error("--backend must be default, epoll, or poll");
 
     std::string socket_dir = flags.get_string("socket-dir");
+    std::optional<core::ScratchDir> scratch;  // removed on every exit path
     if (socket_dir.empty()) {
-      char scratch[] = "/tmp/fedmsXXXXXX";
-      if (::mkdtemp(scratch) == nullptr)
-        throw std::runtime_error("mkdtemp failed");
-      socket_dir = scratch;
+      scratch.emplace();
+      socket_dir = scratch->path();
     }
     const auto address =
         transport::SocketAddress::unix_path(socket_dir + "/soak.sock");

@@ -292,18 +292,22 @@ cmake --build "$asan_build" -j "$jobs" \
            transport_frame_test transport_inmem_test transport_socket_test \
            eventloop_test eventloop_churn_test fl_wire_encoding_test \
            tensor_gemm_test tensor_workspace_test \
-           fl_aggregator_properties_test fedms_node fedms_sweep fedms_matrix
+           fl_aggregator_properties_test fl_determinism_test \
+           fl_sharded_filter_test fedms_node fedms_sweep fedms_matrix
 
 echo "== runtime + transport + kernel tests under ASan/UBSan =="
 # Death tests fork; ASan is fine with that but needs the default allocator
 # not to complain about the intentional aborts. The aggregator property
 # suite covers the whole defense zoo (adaptive estimation, fedgreed
-# selection, sharded pools) with every allocation checked.
+# selection, sharded pools) with every allocation checked; the determinism
+# and sharded-filter suites bounds-check the trimmed-mean lane kernel's
+# padded final lane group at every dimension they sweep.
 for t in runtime_event_queue_test runtime_fault_test runtime_async_test \
          transport_frame_test transport_inmem_test transport_socket_test \
          eventloop_test eventloop_churn_test fl_wire_encoding_test \
          tensor_gemm_test tensor_workspace_test \
-         fl_aggregator_properties_test; do
+         fl_aggregator_properties_test fl_determinism_test \
+         fl_sharded_filter_test; do
   "$asan_build/tests/$t"
 done
 

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cfenv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "core/contracts.h"
@@ -48,44 +50,12 @@ inline float sort_key(float v) {
   return v;
 }
 
-// Bounded-insertion tails for the trimmed mean's small-trim fast path.
-// Both keep a sorted ascending prefix of at most `cap` values.
-
-// Keeps the `cap` smallest values seen (evicts the largest kept).
-inline void push_small(float* tail, std::size_t& count, std::size_t cap,
-                       float v) {
-  if (count == cap) {
-    if (v >= tail[count - 1]) return;
-    --count;
-  }
-  std::size_t pos = count;
-  for (; pos > 0 && tail[pos - 1] > v; --pos) tail[pos] = tail[pos - 1];
-  tail[pos] = v;
-  ++count;
-}
-
-// Keeps the `cap` largest values seen (evicts the smallest kept).
-inline void push_large(float* tail, std::size_t& count, std::size_t cap,
-                       float v) {
-  if (count == cap) {
-    if (v <= tail[0]) return;
-    std::size_t pos = 0;
-    for (; pos + 1 < cap && tail[pos + 1] < v; ++pos) tail[pos] = tail[pos + 1];
-    tail[pos] = v;
-    return;
-  }
-  std::size_t pos = count;
-  for (; pos > 0 && tail[pos - 1] > v; --pos) tail[pos] = tail[pos - 1];
-  tail[pos] = v;
-  ++count;
-}
-
-// Coordinate block sized so the transposed block (kBlock x P floats)
-// stays L1/L2-resident while each model row is streamed through exactly
-// once per block. Sharded execution aligns shard boundaries to it.
+// Coordinate block: the lane kernel keeps one block's per-coordinate state
+// L1-resident while each model row streams through once per block, and
+// sharded execution aligns shard boundaries to it.
 constexpr std::size_t kBlock = 64;
-// Largest trim the linear tail-tracking fast path handles; beyond it the
-// bounded insertions stop beating two nth_element partitions.
+// Largest trim the lane kernel's compare-exchange tails handle; beyond it
+// two nth_element partitions beat 2·trim compare-exchanges per value.
 constexpr std::size_t kMaxFastTrim = 16;
 
 // Mean of coordinates [j0, j1) into out — the per-shard kernel.
@@ -101,13 +71,13 @@ void mean_range(const std::vector<ModelVector>& models, std::size_t j0,
 
 // ---- canonical per-column trimmed-mean arithmetic ----
 //
-// The determinism contract (ARCHITECTURE.md) requires the streaming fast
-// path, the selection fallback (trimmed_mean_selection), and the full-sort
-// oracle (trimmed_mean_reference) to agree BITWISE, per rounding mode, for
-// every input. That only holds if all three execute the same FP operations
-// in the same order, so the arithmetic is pinned to one case analysis over
-// the canonicalized column (sort_key applied — equal floats bit-identical,
-// so tail selection ties cannot change any sum):
+// The determinism contract (ARCHITECTURE.md) requires the lane kernel
+// (trimmed_mean) and the full-sort oracle (trimmed_mean_reference) to
+// agree BITWISE, per rounding mode, for every input. That only holds if
+// both execute the same FP operations in the same order, so the
+// arithmetic is pinned to one case analysis over the canonicalized column
+// (sort_key applied — equal floats bit-identical, so tail selection ties
+// cannot change any sum):
 //
 //   1. trim == 0:        out = float(total / kept), total = Σ double(v_i)
 //                        in MODEL order.
@@ -124,109 +94,126 @@ void mean_range(const std::vector<ModelVector>& models, std::size_t j0,
 // thread count, shard boundary, or rounding mode — so every execution
 // shape lands on identical bits.
 
-// Cases 2/3 over a gathered, canonicalized column. `total` must be the
-// model-order double sum of column[0..p); reorders column[]. Case 1 is
-// inlined at the call sites (no selection needed).
-float kept_window_mean(float* column, std::size_t p, std::size_t trim,
-                       double total, bool finite) {
-  const std::size_t kept = p - 2 * trim;
+// Case 3 over a gathered, canonicalized column: the ascending kept-window
+// sum. Reorders column[].
+float kept_window_mean(float* column, std::size_t p, std::size_t trim) {
   std::nth_element(column, column + trim, column + p);
   std::nth_element(column + trim, column + (p - trim), column + p);
-  if (finite && trim <= kMaxFastTrim) {
-    std::sort(column, column + trim);
-    std::sort(column + (p - trim), column + p);
-    double tails = 0.0;
-    for (std::size_t i = 0; i < trim; ++i)
-      tails += double(column[i]) + double(column[p - trim + i]);
-    return static_cast<float>((total - tails) / double(kept));
-  }
   std::sort(column + trim, column + (p - trim));
   double acc = 0.0;
   for (std::size_t i = trim; i < p - trim; ++i) acc += column[i];
-  return static_cast<float>(acc / double(kept));
+  return static_cast<float>(acc / double(p - 2 * trim));
+}
+
+// Four adjacent coordinates per lane group, as GCC/Clang generic vectors:
+// the compiler lowers them to the target's SIMD (SSE2 at baseline x86-64,
+// NEON on AArch64) or to scalar code, and every lane runs the same IEEE
+// operations as the scalar oracle — one source path on every platform.
+constexpr std::size_t kLanes = 4;
+typedef float Lanes __attribute__((vector_size(16)));
+typedef double LaneTotals __attribute__((vector_size(32)));
+typedef std::int32_t LaneBits __attribute__((vector_size(16)));
+
+// Branch-free compare-exchange: afterwards each lane of `lo` holds the
+// smaller and `hi` the larger of the pair (an XOR swap under the compare
+// mask, so both keep exactly the input bits).
+inline void compare_exchange(Lanes& lo, Lanes& hi) {
+  const LaneBits swap = (hi < lo) & ((LaneBits)lo ^ (LaneBits)hi);
+  lo = (Lanes)((LaneBits)lo ^ swap);
+  hi = (Lanes)((LaneBits)hi ^ swap);
+}
+
+// Loads min(n, kLanes) coordinates from src, zero-padding the rest: the
+// last partial lane group reads nothing past the end of a model.
+inline Lanes load_lanes(const float* src, std::size_t n) {
+  float padded[kLanes] = {};
+  if (n < kLanes) {
+    std::memcpy(padded, src, n * sizeof(float));
+    src = padded;
+  }
+  Lanes v = {};
+  std::memcpy(&v, src, sizeof v);
+  return v;
 }
 
 // Trimmed mean of coordinates [j0, j1) into out — the per-shard kernel.
 // All scratch is call-local, so shards never share mutable state and the
 // per-coordinate arithmetic is identical to a serial full-range call.
+//
+// Cases 1 and 2 run branch-free over lane groups: the P x d matrix is
+// streamed model-major one kBlock at a time, and every lane keeps its
+// model-order double total plus the trim smallest / largest values in
+// ascending slots that each value passes through by compare-exchange — so
+// the slots end up exactly the sorted tails case 2 needs (ties are
+// bit-identical after sort_key, so which of two equal values a slot keeps
+// cannot matter). The last partial lane group is padded with zeros and its
+// padding discarded. A column is non-finite exactly when its double total
+// is (P finite floats cannot overflow a double; one ±∞ makes the total ±∞
+// or NaN), so those columns — the Byzantine case — are redone as case 3,
+// as is every column when trim > kMaxFastTrim.
 void trimmed_mean_range(const std::vector<ModelVector>& models,
                         std::size_t trim, std::size_t j0, std::size_t j1,
                         ModelVector& out) {
   const std::size_t p = models.size();
-  const std::size_t kept = p - 2 * trim;
-  std::vector<float> scratch(p);
-
-  // Gathers coordinate j into `scratch` and applies the canonical case
-  // analysis above — the general path for any trim and any column.
+  const double kept = double(p - 2 * trim);
+  std::vector<float> column(p);
   auto select_mean = [&](std::size_t j) {
-    float* column = scratch.data();
-    double total = 0.0;
-    bool finite = true;
-    for (std::size_t i = 0; i < p; ++i) {
-      const float v = sort_key(models[i][j]);
-      column[i] = v;
-      finite &= bool(std::isfinite(v));
-      total += v;
-    }
-    if (trim == 0) {
-      out[j] = static_cast<float>(total / double(kept));
-      return;
-    }
-    out[j] = kept_window_mean(column, p, trim, total, finite);
+    for (std::size_t i = 0; i < p; ++i) column[i] = sort_key(models[i][j]);
+    return kept_window_mean(column.data(), p, trim);
   };
-
-  if (trim == 0 || trim > kMaxFastTrim) {
-    for (std::size_t j = j0; j < j1; ++j) select_mean(j);
+  if (trim > kMaxFastTrim) {
+    for (std::size_t j = j0; j < j1; ++j) out[j] = select_mean(j);
     return;
   }
 
-  // Small-trim fast path, the benign steady state: stream the P x d model
-  // matrix model-major in cache-sized coordinate blocks, maintaining per
-  // coordinate a running total plus the trim smallest/largest values by
-  // bounded insertion (expected O(p + trim log p) updates per coordinate
-  // on random input). The combine below IS canonical case 2 verbatim —
-  // model-order total, ascending tails (bounded insertion keeps both tails
-  // sorted), total − tails — so it lands on the same bits as select_mean.
-  // Columns carrying ±∞/NaN — the Byzantine case — are redone with the
-  // selection path above (canonical case 3; ∞ − ∞ = NaN rules case 2
-  // out). All per-block state (totals + both tails) stays L1-resident.
-  std::vector<double> totals(kBlock);
-  std::vector<float> low(kBlock * trim), high(kBlock * trim);
-  std::vector<std::size_t> nlow(kBlock), nhigh(kBlock);
-  std::vector<unsigned char> nonfinite(kBlock);
+  constexpr std::size_t kGroups = kBlock / kLanes;
+  const float inf = std::numeric_limits<float>::infinity();
+  const Lanes zero = {}, pos_inf = zero + inf, neg_inf = zero - inf;
+  LaneTotals totals[kGroups] = {};
+  Lanes low[kGroups * kMaxFastTrim] = {}, high[kGroups * kMaxFastTrim] = {};
   for (std::size_t jb = j0; jb < j1; jb += kBlock) {
     const std::size_t width = std::min(kBlock, j1 - jb);
-    std::fill(totals.begin(), totals.begin() + std::ptrdiff_t(width), 0.0);
-    std::fill(nlow.begin(), nlow.begin() + std::ptrdiff_t(width), 0u);
-    std::fill(nhigh.begin(), nhigh.begin() + std::ptrdiff_t(width), 0u);
-    std::fill(nonfinite.begin(), nonfinite.begin() + std::ptrdiff_t(width),
-              0);
-    for (std::size_t i = 0; i < p; ++i) {
-      const float* row = models[i].data() + jb;
-      for (std::size_t jj = 0; jj < width; ++jj) {
-        const float v = sort_key(row[jj]);
-        nonfinite[jj] |= static_cast<unsigned char>(!std::isfinite(v));
-        totals[jj] += v;
-        push_small(low.data() + jj * trim, nlow[jj], trim, v);
-        push_large(high.data() + jj * trim, nhigh[jj], trim, v);
+    const std::size_t groups = (width + kLanes - 1) / kLanes;
+    for (std::size_t g = 0; g < groups; ++g) {
+      totals[g] = LaneTotals{};
+      for (std::size_t t = 0; t < trim; ++t) {
+        low[g * trim + t] = pos_inf;
+        high[g * trim + t] = neg_inf;
       }
     }
-    for (std::size_t jj = 0; jj < width; ++jj) {
-      if (nonfinite[jj]) {
-        select_mean(jb + jj);
-        continue;
+    for (std::size_t i = 0; i < p; ++i) {
+      const float* row = models[i].data() + jb;
+      for (std::size_t g = 0; g < groups; ++g) {
+        Lanes v = load_lanes(row + g * kLanes, width - g * kLanes);
+        v = v == v ? v : pos_inf;  // sort_key: NaN -> +inf, -0 -> +0
+        v = v == zero ? zero : v;
+        totals[g] += __builtin_convertvector(v, LaneTotals);
+        Lanes carry = v;  // low slots keep the smaller, carry the larger
+        for (std::size_t t = 0; t < trim; ++t)
+          compare_exchange(low[g * trim + t], carry);
+        carry = v;  // high slots, top down, keep the larger
+        for (std::size_t t = trim; t-- > 0;)
+          compare_exchange(carry, high[g * trim + t]);
       }
-      double tails = 0.0;
-      for (std::size_t i = 0; i < trim; ++i)
-        tails += double(low[jj * trim + i]) + double(high[jj * trim + i]);
-      out[jb + jj] =
-          static_cast<float>((totals[jj] - tails) / double(kept));
+    }
+    for (std::size_t g = 0; g < groups; ++g) {
+      LaneTotals tails = {};
+      for (std::size_t t = 0; t < trim; ++t)
+        tails += __builtin_convertvector(low[g * trim + t], LaneTotals) +
+                 __builtin_convertvector(high[g * trim + t], LaneTotals);
+      const LaneTotals sum = trim == 0 ? totals[g] : totals[g] - tails;
+      const Lanes mean = __builtin_convertvector(sum / kept, Lanes);
+      const std::size_t j = jb + g * kLanes;
+      for (std::size_t l = 0; l < std::min(kLanes, j1 - j); ++l)
+        out[j + l] = trim > 0 && !std::isfinite(totals[g][l])
+                         ? select_mean(j + l)
+                         : mean[l];
     }
   }
 }
 
 // Runs `range(j0, j1, out)` over [0, d) sharded across `pool`, shard
-// boundaries aligned to kBlock (so the fast path's blocking is unchanged).
+// boundaries aligned to kBlock (so the lane kernel's blocking is unchanged).
 // Oversplits 4x per worker: the nonfinite-column fallback makes shard cost
 // uneven under Byzantine input.
 //
@@ -378,9 +365,8 @@ ModelVector trimmed_mean_reference(const std::vector<ModelVector>& models,
   const std::size_t kept = p - 2 * trim;
 
   // Gather + full sort per column, then the canonical case analysis
-  // (total in model order BEFORE sorting; a fully sorted column is a valid
-  // input to both selection cases — nth_element on sorted data is a
-  // no-op, the tails/kept window are already ascending).
+  // (total in model order BEFORE sorting; the sorted column's ends are the
+  // ascending tails and its middle the ascending kept window).
   ModelVector out(d);
   std::vector<float> column(p);
   for (std::size_t j = 0; j < d; ++j) {
@@ -407,34 +393,6 @@ ModelVector trimmed_mean_reference(const std::vector<ModelVector>& models,
     double acc = 0.0;
     for (std::size_t i = trim; i < p - trim; ++i) acc += column[i];
     out[j] = static_cast<float>(acc / double(kept));
-  }
-  return out;
-}
-
-ModelVector trimmed_mean_selection(const std::vector<ModelVector>& models,
-                                   std::size_t trim) {
-  check_models(models);
-  const std::size_t p = models.size();
-  FEDMS_EXPECTS(2 * trim < p);
-  const std::size_t d = models.front().size();
-  const std::size_t kept = p - 2 * trim;
-
-  ModelVector out(d);
-  std::vector<float> column(p);
-  for (std::size_t j = 0; j < d; ++j) {
-    double total = 0.0;
-    bool finite = true;
-    for (std::size_t i = 0; i < p; ++i) {
-      const float v = sort_key(models[i][j]);
-      column[i] = v;
-      finite &= bool(std::isfinite(v));
-      total += v;
-    }
-    if (trim == 0) {
-      out[j] = static_cast<float>(total / double(kept));
-      continue;
-    }
-    out[j] = kept_window_mean(column.data(), p, trim, total, finite);
   }
   return out;
 }

@@ -109,20 +109,23 @@ std::size_t degraded_trim_count(std::size_t target, std::size_t received);
 // and tie-breaks can never change a sum.
 // Precondition: 0 ≤ β < 0.5 and at least one value survives the trim.
 //
-// Implementation: coordinates are processed in cache-sized blocks — the
-// P x d model matrix is transposed blockwise so each coordinate's P values
-// are contiguous. All-finite columns with a small trim take a linear pass
-// that tracks the trim smallest/largest values by bounded insertion and
-// derives the kept-window sum as total − tails; columns carrying ±∞/NaN
-// (or a large trim) use two-sided std::nth_element selection (O(P))
-// instead of a full sort (O(P log P)). Every client runs this filter every
-// round, so it is the client-side hot loop Fed-MS adds over FedAvg.
+// Implementation: one lane kernel. Four adjacent coordinates share a
+// generic (GCC/Clang vector_size) float vector, and the P x d model matrix
+// streams through model-major in cache-sized coordinate blocks. Per lane
+// the kernel keeps a model-order double total and the trim smallest and
+// largest values, which every value passes through by branch-free min/max
+// compare-exchange, and returns total − tails. Columns carrying ±∞/NaN
+// (and every column when the trim is large) instead sort just the kept
+// window after two std::nth_element partitions. Every client runs this
+// filter every round, so it is the client-side hot loop Fed-MS adds over
+// FedAvg.
 //
 // Determinism contract (ARCHITECTURE.md): the per-column arithmetic is
-// pinned to one canonical case analysis, so this function,
-// trimmed_mean_selection, and trimmed_mean_reference return BITWISE
-// identical vectors for every input, per rounding mode, for any thread
-// count or shard width.
+// pinned to one canonical case analysis, so this function and
+// trimmed_mean_reference return BITWISE identical vectors for every
+// input, per rounding mode, for any thread count or shard width. The lane
+// vectors use no ISA intrinsics, so every target compiles the same
+// per-lane IEEE operations.
 ModelVector trimmed_mean(const std::vector<ModelVector>& models, double beta);
 
 // Explicit-trim overload: discards exactly `trim` values per side. The
@@ -135,20 +138,12 @@ ModelVector trimmed_mean(const std::vector<ModelVector>& models,
 
 // The seed's per-coordinate gather + full-sort implementation, kept as the
 // oracle for the equivalence, determinism and sharded-filter tests.
-// Identical semantics (including NaN-sorts-as-+∞), and since the
-// determinism contract identical BITS: it runs the same canonical
-// per-column arithmetic as trimmed_mean, just over a fully sorted column.
+// Identical semantics (including NaN-sorts-as-+∞) and identical BITS: it
+// runs the same canonical per-column arithmetic as trimmed_mean, one
+// column at a time over a fully sorted copy.
 ModelVector trimmed_mean_reference(const std::vector<ModelVector>& models,
                                    double beta);
 ModelVector trimmed_mean_reference(const std::vector<ModelVector>& models,
-                                   std::size_t trim);
-
-// The two-sided nth_element selection path, forced for every column (the
-// fallback trimmed_mean takes for ±∞/NaN columns and large trims). Test
-// hook for the exhaustive small-P enumeration, which proves streaming ==
-// selection == reference bitwise over all sign/NaN/±∞/duplicate patterns.
-// Precondition: 2·trim < models.size().
-ModelVector trimmed_mean_selection(const std::vector<ModelVector>& models,
                                    std::size_t trim);
 
 // Per-coordinate median (lower of the two middles for even counts — the

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <memory>
 #include <thread>
 
+#include "core/scratch_dir.h"
 #include "core/stopwatch.h"
 
 namespace fedms::core {
@@ -32,6 +39,37 @@ TEST(Stopwatch, MonotonicNonNegative) {
     EXPECT_GE(now, previous);
     previous = now;
   }
+}
+
+TEST(ScratchDir, RemovesItsTreeWhenDestroyed) {
+  namespace fs = std::filesystem;
+  std::string path;
+  {
+    const ScratchDir dir;
+    path = dir.path();
+    ASSERT_EQ(path.rfind("/tmp/fedms", 0), 0u) << path;
+    fs::create_directory(path + "/nested");
+    std::ofstream(path + "/nested/node.report") << "report";
+    std::ofstream(path + "/ps0.sock") << "";
+    EXPECT_TRUE(fs::is_directory(path));
+    EXPECT_TRUE(fs::exists(path + "/nested/node.report"));
+    EXPECT_TRUE(fs::exists(path + "/ps0.sock"));
+  }
+  EXPECT_FALSE(fs::exists(path));
+}
+
+TEST(ScratchDir, ForkedChildNeverRemovesTheParentsDirectory) {
+  auto dir = std::make_unique<ScratchDir>();
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    dir.reset();  // a child unwinding through the owner's scope
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_TRUE(std::filesystem::is_directory(dir->path()));
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 
+#include "core/scratch_dir.h"
 #include "eventloop/reactor.h"
 #include "fl/experiment.h"
 #include "transport/frame.h"
@@ -259,12 +259,6 @@ TEST(EnsureFdBudget, CurrentUsageFitsAndAbsurdRequestErrors) {
 
 // ---- Differential oracle: full protocol, every PS an event loop ----
 
-std::string make_scratch_dir() {
-  char scratch[] = "/tmp/fedmsXXXXXX";
-  EXPECT_NE(::mkdtemp(scratch), nullptr);
-  return scratch;
-}
-
 TEST(EventLoopServer, FullRunMatchesInMemoryBitForBit) {
   fl::WorkloadConfig workload;
   workload.samples = 300;
@@ -288,7 +282,8 @@ TEST(EventLoopServer, FullRunMatchesInMemoryBitForBit) {
 
   // Servers are event-loop endpoints; clients keep the blocking mesh
   // (their side is 1:P, not K:1 — multiplexing buys nothing there).
-  const std::string dir = make_scratch_dir();
+  const core::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   std::vector<transport::SocketAddress> addresses;
   for (std::size_t p = 0; p < fed.servers; ++p)
     addresses.push_back(transport::SocketAddress::unix_path(

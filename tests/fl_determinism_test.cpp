@@ -1,10 +1,11 @@
 // The determinism contract, tested as a contract (ARCHITECTURE.md
-// "Determinism contract"): the three trimmed-mean implementations agree
-// BITWISE for every input — proven exhaustively for small columns over all
-// sign/zero/±∞/NaN/duplicate patterns — and stay bitwise stable across
-// fenv rounding modes, thread counts, shard widths, and pools whose
-// workers were created before a mode switch (the [cfenv] inheritance
-// hazard). The batch-parallel conv forward carries the same guarantee.
+// "Determinism contract"): the trimmed-mean lane kernel and its full-sort
+// oracle agree BITWISE for every input — proven exhaustively for small
+// columns over all sign/zero/±∞/NaN/duplicate patterns — and stay bitwise
+// stable across fenv rounding modes, thread counts, shard widths, and
+// pools whose workers were created before a mode switch (the [cfenv]
+// inheritance hazard). The batch-parallel conv forward carries the same
+// guarantee.
 #include <cfenv>
 #include <cmath>
 #include <cstring>
@@ -71,6 +72,9 @@ std::vector<ModelVector> enumeration_models(std::size_t p) {
   return models;
 }
 
+// The enumeration's ±∞/NaN columns drive trimmed_mean's case-3 selection
+// path and its finite columns the lane kernel, so kernel == reference here
+// covers both halves of the production filter.
 TEST(DeterminismContract, ExhaustiveSmallColumnsAgreeBitwiseUnderAllModes) {
   for (std::size_t p = 1; p <= 6; ++p) {
     const std::vector<ModelVector> models = enumeration_models(p);
@@ -81,39 +85,47 @@ TEST(DeterminismContract, ExhaustiveSmallColumnsAgreeBitwiseUnderAllModes) {
         const std::string what =
             "P=" + std::to_string(p) + " trim=" + std::to_string(trim) +
             " mode=" + core::rounding_mode_name(fenv_mode);
-        const ModelVector streaming = trimmed_mean(models, trim);
-        const ModelVector selection = trimmed_mean_selection(models, trim);
-        const ModelVector reference = trimmed_mean_reference(models, trim);
-        expect_bitwise_equal(streaming, selection,
-                             what + " streaming vs selection");
-        expect_bitwise_equal(streaming, reference,
-                             what + " streaming vs reference");
+        expect_bitwise_equal(trimmed_mean(models, trim),
+                             trimmed_mean_reference(models, trim),
+                             what + " kernel vs reference");
       }
     }
   }
 }
 
-// Same three-way agreement on random data wide enough to cross kBlock
-// boundaries, at trims on both sides of the fast-path threshold, with
-// planted nonfinite columns.
+// Kernel-vs-reference agreement on random data wide enough to cross kBlock
+// boundaries, with planted nonfinite columns, at trims on both sides of
+// the lane kernel's kMaxFastTrim = 16 threshold. Dimension 1003 is not a
+// multiple of the 4-coordinate lane group: its padded final group carries
+// a NaN. Its magnitudes also spread over 2^±60, so the double sums round
+// and any reordering of a total or a tail sum changes the bits.
 TEST(DeterminismContract, ImplementationsAgreeOnRandomBlocksUnderAllModes) {
-  auto models = random_models(40, 1000, 0x9a7e);
   const float inf = std::numeric_limits<float>::infinity();
-  models[3][63] = std::numeric_limits<float>::quiet_NaN();
-  models[7][64] = inf;
-  models[11][999] = -inf;
-  for (const std::size_t trim :
-       {std::size_t(0), std::size_t(1), std::size_t(7), std::size_t(19)}) {
-    for (std::size_t m = 0; m < core::kRoundingModeCount; ++m) {
-      const int fenv_mode = core::all_rounding_modes()[m];
-      const core::ScopedRoundingMode mode(fenv_mode);
-      const std::string what = "trim=" + std::to_string(trim) + " mode=" +
-                               core::rounding_mode_name(fenv_mode);
-      const ModelVector streaming = trimmed_mean(models, trim);
-      expect_bitwise_equal(streaming, trimmed_mean_selection(models, trim),
-                           what + " streaming vs selection");
-      expect_bitwise_equal(streaming, trimmed_mean_reference(models, trim),
-                           what + " streaming vs reference");
+  for (const std::size_t dim : {std::size_t(1000), std::size_t(1003)}) {
+    auto models = random_models(40, dim, 0x9a7e + dim);
+    if (dim % 4 != 0) {
+      core::Rng rng(dim);
+      for (auto& model : models)
+        for (float& v : model)
+          v = std::ldexp(v, int(rng.uniform_index(121)) - 60);
+    }
+    models[3][63] = std::numeric_limits<float>::quiet_NaN();
+    models[7][64] = inf;
+    models[11][999] = -inf;
+    models[5][dim - 2] = std::numeric_limits<float>::quiet_NaN();
+    for (const std::size_t trim :
+         {std::size_t(0), std::size_t(1), std::size_t(7), std::size_t(16),
+          std::size_t(17), std::size_t(19)}) {
+      for (std::size_t m = 0; m < core::kRoundingModeCount; ++m) {
+        const int fenv_mode = core::all_rounding_modes()[m];
+        const core::ScopedRoundingMode mode(fenv_mode);
+        const std::string what = "dim=" + std::to_string(dim) +
+                                 " trim=" + std::to_string(trim) + " mode=" +
+                                 core::rounding_mode_name(fenv_mode);
+        expect_bitwise_equal(trimmed_mean(models, trim),
+                             trimmed_mean_reference(models, trim),
+                             what + " kernel vs reference");
+      }
     }
   }
 }

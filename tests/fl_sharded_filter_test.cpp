@@ -1,7 +1,7 @@
 // Sharded trimmed-mean / mean filters: coordinate-range sharding across a
 // core::ThreadPool must be bit-for-bit identical to the serial kernels —
-// including NaN/Inf coordinates (which take the selection path) and every
-// blocking-boundary dimension. This file is also the TSan target for the
+// including NaN/Inf coordinates (which leave the lane kernel for the
+// kept-window selection path) and every blocking-boundary dimension. This file is also the TSan target for the
 // event-loop runtime's aggregation parallelism (scripts/check.sh).
 #include <gtest/gtest.h>
 
@@ -28,8 +28,7 @@ std::vector<ModelVector> random_models(std::size_t count, std::size_t dim,
 }
 
 // Plants non-finite values in a few columns so those coordinates exercise
-// the selection (nth_element) path instead of the bounded-insertion fast
-// path.
+// the selection (nth_element) path instead of the lane kernel.
 void plant_nonfinite(std::vector<ModelVector>& models) {
   if (models.empty() || models[0].empty()) return;
   const std::size_t dim = models[0].size();
@@ -75,7 +74,7 @@ TEST(ShardedFilter, TrimmedMeanMatchesSerialBitForBit) {
 
 TEST(ShardedFilter, LargeTrimSelectionPathMatchesSerial) {
   core::ThreadPool pool(3);
-  // trim = 40 of 100 models exceeds the bounded-insertion fast path:
+  // trim = 40 of 100 models exceeds the lane kernel's kMaxFastTrim = 16:
   // every coordinate takes the two-sided nth_element route.
   auto models = random_models(100, 257, 99);
   plant_nonfinite(models);

@@ -11,9 +11,9 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <thread>
 
+#include "core/scratch_dir.h"
 #include "fl/experiment.h"
 #include "transport/frame.h"
 #include "transport/node_runner.h"
@@ -171,14 +171,9 @@ TEST(SocketTransport, CrashMidFrameNeverDeliversTornFrame) {
   EXPECT_EQ(receiver->stats().total_received().messages, 0u);
 }
 
-std::string make_scratch_dir() {
-  char scratch[] = "/tmp/fedmsXXXXXX";
-  EXPECT_NE(::mkdtemp(scratch), nullptr);
-  return scratch;
-}
-
 TEST(SocketTransport, ConnectRetriesUntilListenerIsUp) {
-  const std::string dir = make_scratch_dir();
+  const core::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const SocketAddress address = SocketAddress::unix_path(dir + "/ps0.sock");
 
   SocketTransportOptions options;
@@ -293,7 +288,8 @@ TEST(SocketTransport, FullRunOverUnixSocketsMatchesInMemory) {
       run_transport_experiment(workload, fed, hub);
 
   // Real sockets: servers listen, clients connect, all on threads.
-  const std::string dir = make_scratch_dir();
+  const core::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   std::vector<SocketAddress> addresses;
   for (std::size_t p = 0; p < fed.servers; ++p)
     addresses.push_back(

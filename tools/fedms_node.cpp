@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -40,6 +41,7 @@
 #include "core/cli.h"
 #include "core/contracts.h"
 #include "core/rounding.h"
+#include "core/scratch_dir.h"
 #include "core/thread_pool.h"
 #include "eventloop/server.h"
 #include "fl/aggregators.h"
@@ -400,13 +402,12 @@ pid_t spawn_child(const std::vector<std::string>& args) {
 }
 
 int run_launch(NodeCli cli) {
-  // One scratch dir holds both sockets and report files. Unix socket paths
-  // are length-limited (~108 chars), so the default lives in /tmp.
-  char scratch[] = "/tmp/fedmsXXXXXX";
+  // One scratch dir holds both sockets and report files, and is removed
+  // on every exit path. A user-given --socket-dir is never removed.
+  std::optional<core::ScratchDir> scratch;
   if (cli.socket_dir.empty()) {
-    if (::mkdtemp(scratch) == nullptr)
-      throw std::runtime_error("mkdtemp failed");
-    cli.socket_dir = scratch;
+    scratch.emplace();
+    cli.socket_dir = scratch->path();
   }
   if (cli.report_dir.empty()) cli.report_dir = cli.socket_dir;
   if (!cli.trace_dir.empty()) ensure_dir(cli.trace_dir);
