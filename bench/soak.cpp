@@ -13,8 +13,8 @@
 // deterministic functions of (client, round, coordinate), which keeps the
 // bench measuring the runtime (accept churn, frame decode, aggregation,
 // broadcast fan-out) instead of SGD. Bit-for-bit protocol equality is
-// pinned elsewhere (fedms_node --runtime eventloop --verify); this bench
-// is about throughput.
+// pinned elsewhere (fedms_node --verify, whose every PS is this
+// EventLoopServer); this bench is about throughput.
 //
 // Prints one JSON object to stdout: rounds/s, p99 per-stage latencies
 // derived from the existing obs span instrumentation fed through obs

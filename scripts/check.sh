@@ -128,21 +128,23 @@ trap 'rm -rf "$fuzz_repro_dir"' EXIT
   --seeds 200 --repro-dir "$fuzz_repro_dir"
 "$build/tools/fedms_fuzz" --self-test --repro-dir "$fuzz_repro_dir"
 
-echo "== multi-process smoke (4 clients + 2 PSs over Unix sockets) =="
-# Real processes, real sockets: the launcher forks one process per node,
-# runs 2 full Fed-MS rounds, then verifies the final accuracy, per-client
-# model CRCs, and per-direction byte totals bit-for-bit against the
-# round-synchronous simulator.
+echo "== multi-process smoke (Unix sockets: 4x2, then 8x4 sharded filter) =="
+# Real processes, real sockets: the launcher forks one process per node
+# (every PS an epoll event-loop server), runs 2 full Fed-MS rounds, then
+# verifies the final accuracy, per-client model CRCs, and per-direction
+# byte totals bit-for-bit against the round-synchronous simulator. The
+# second run shards the aggregation filter across a 2-thread pool.
 "$build/tools/fedms_node" --mode launch --backend unix \
   --clients 4 --servers 2 --byzantine 1 --rounds 2 --samples 400 --verify
-
-echo "== event-loop runtime smoke (8 clients + 4 PSs, sharded filter) =="
-# Same launcher, but every PS runs the epoll-based event-loop runtime with
-# the aggregation filter sharded across a 2-thread pool — still bit-for-bit
-# against the simulator.
 "$build/tools/fedms_node" --mode launch --backend unix \
   --clients 8 --servers 4 --byzantine 1 --rounds 2 --samples 400 \
-  --runtime eventloop --filter-threads 2 --verify
+  --filter-threads 2 --verify
+
+echo "== multi-process smoke over localhost TCP =="
+# The event-loop PS's TCP accept path (TCP_NODELAY on every accepted
+# socket). Its own port base, clear of the 47700 default.
+"$build/tools/fedms_node" --mode launch --backend tcp --tcp-port-base 48311 \
+  --clients 4 --servers 2 --byzantine 1 --rounds 2 --samples 400 --verify
 
 echo "== wire-encoding smoke (--verify per encoding) =="
 # Every negotiated encoding must stay bit-for-bit against the simulator:
@@ -248,16 +250,17 @@ for mode in nearest upward downward towardzero; do
     --verify > /dev/null
   echo "determinism OK under $mode (unit suite + inmem --verify)"
 done
-# Sharded filter across thread counts under a directed mode: the event-loop
-# runtime with 1/2/4 filter threads must stay bit-for-bit against the
-# serial simulator even when every reduction rounds toward zero.
+# Sharded filter across thread counts under a directed mode: the
+# multi-process run with 1/2/4 filter threads must stay bit-for-bit
+# against the serial simulator even when every reduction rounds toward
+# zero.
 for threads in 1 2 4; do
   "$build/tools/fedms_node" --mode launch --backend unix \
     --clients 8 --servers 4 --byzantine 1 --rounds 2 --samples 400 \
-    --runtime eventloop --filter-threads "$threads" \
-    --rounding-mode towardzero --verify > /dev/null
+    --filter-threads "$threads" --rounding-mode towardzero --verify \
+    > /dev/null
 done
-echo "determinism OK (event-loop --filter-threads 1/2/4 under towardzero)"
+echo "determinism OK (launch --filter-threads 1/2/4 under towardzero)"
 # Sweep bit-equality under a non-default mode, with a one-line
 # first-divergent-CRC diff on mismatch (diff -r would dump whole files).
 FEDMS_ROUNDING_MODE=upward "$build/tools/fedms_sweep" \
@@ -314,9 +317,6 @@ done
 echo "== multi-process smoke under ASan/UBSan =="
 "$asan_build/tools/fedms_node" --mode launch --backend unix \
   --clients 2 --servers 2 --byzantine 1 --rounds 1 --samples 200 --verify
-"$asan_build/tools/fedms_node" --mode launch --backend unix \
-  --clients 2 --servers 2 --byzantine 1 --rounds 1 --samples 200 \
-  --runtime eventloop --verify
 # The compressed wire path's encode/decode (quantization buffers, index
 # bitmaps, reference chains) under every allocation check.
 "$asan_build/tools/fedms_node" --mode launch --backend unix \

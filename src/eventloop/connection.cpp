@@ -50,8 +50,8 @@ Connection::ReadResult Connection::on_readable(
     break;
   }
 
-  // Decode every complete frame buffered so far. Unlike the blocking
-  // transport, stream-level damage closes just this connection.
+  // Decode every complete frame buffered so far. Unlike the client-side
+  // SocketTransport, stream-level damage closes just this connection.
   std::size_t offset = 0;
   while (state_ != State::kClosed) {
     transport::FrameError error = transport::FrameError::kNone;

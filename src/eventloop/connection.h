@@ -12,7 +12,7 @@
 //     writability (EPOLLOUT). CRC-rejected frames are counted and
 //     skipped; a desynchronized stream (bad magic/version) closes the
 //     connection — on a multiplexed server one broken peer must never
-//     take the process down, unlike the blocking runner which throws.
+//     take the process down (a client's SocketTransport throws instead).
 //   * kClosed    — terminal; the owner deregisters and closes the fd.
 //
 // The class owns the fd and its buffers but performs no event

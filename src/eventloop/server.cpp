@@ -31,6 +31,7 @@ EventLoopServer::EventLoopServer(const net::NodeId& self,
                                  const EventLoopOptions& options)
     : self_(self),
       options_(options),
+      corrupt_rng_(options.corrupt_seed),
       reactor_(options.backend) {}
 
 std::unique_ptr<EventLoopServer> EventLoopServer::listen(
@@ -87,6 +88,8 @@ void EventLoopServer::send(net::Message message) {
     return;
   }
   std::vector<std::uint8_t> frame = codec_.encode(message);
+  transport::inject_corruption(message.kind, options_.corrupt_rate,
+                               corrupt_rng_, frame);
   const std::size_t framed = frame.size();
   conn->enqueue(std::move(frame), 0);  // room was reserved above
   stats_.count_sent(message, framed);

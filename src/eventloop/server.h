@@ -1,12 +1,13 @@
 // Event-loop server runtime: one process, one thread, thousands of
 // clients.
 //
-// EventLoopServer is a `transport::Transport`, so the bit-for-bit
-// protocol engine in src/transport/node_runner.* runs against it
-// unchanged — the blocking SocketTransport and this runtime are proven
-// equal by the same differential oracles. Where SocketTransport holds one
-// blocking-ish connection per peer, this endpoint multiplexes every
-// client over a single epoll/poll reactor with nonblocking I/O:
+// EventLoopServer is a `transport::Transport` and the one listening side
+// of every socket run: the bit-for-bit protocol engine in
+// src/transport/node_runner.* runs against it unchanged, and the same
+// differential oracles pin it against the in-memory reference. Clients
+// keep transport::SocketTransport (their side is 1:P); this endpoint
+// multiplexes every client over a single epoll/poll reactor with
+// nonblocking I/O:
 //
 //   * receive() services the reactor until a decoded message is
 //     available: accepts, per-connection reads, frame extraction, and
@@ -32,6 +33,10 @@
 // closed peers are silently dropped and counted (`dropped_sends`) — on a
 // multiplexed server a vanished client is routine, not fatal.
 //
+// Fault injection: `corrupt_rate` flips one payload bit of a sent data
+// frame (transport::inject_corruption), the PS->client half of the
+// transit corruption SocketTransport injects client->PS.
+//
 // Threading: single-threaded by design; the protocol engine drives
 // send/receive from one thread and the reactor does the multiplexing.
 // CPU-heavy aggregation parallelism lives in fl::set_aggregation_pool,
@@ -45,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "core/rng.h"
 #include "eventloop/connection.h"
 #include "eventloop/reactor.h"
 #include "transport/socket_transport.h"
@@ -63,6 +69,9 @@ struct EventLoopOptions {
   // Identified connections silent for this long are reaped; 0 = off
   // (the round barrier already bounds how long a healthy client is quiet).
   double idle_timeout_seconds = 0.0;
+  // Transit corruption injection (sent data frames only); 0 = off.
+  double corrupt_rate = 0.0;
+  std::uint64_t corrupt_seed = 0;
 };
 
 class EventLoopServer final : public transport::Transport {
@@ -127,6 +136,7 @@ class EventLoopServer final : public transport::Transport {
   net::NodeId self_;
   EventLoopOptions options_;
   transport::FrameCodec codec_;
+  core::Rng corrupt_rng_;
   Reactor reactor_;
   int listener_fd_ = -1;
   transport::SocketAddress address_;

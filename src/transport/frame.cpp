@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "core/contracts.h"
+#include "core/rng.h"
 #include "fl/compression.h"
 #include "fl/wire_encoding.h"
 
@@ -345,6 +346,32 @@ FrameCodec::DecodeResult FrameCodec::decode(const std::uint8_t* data,
     message.wire_format = format;
   }
   return result;
+}
+
+bool is_control(net::MessageKind kind) {
+  switch (kind) {
+    case net::MessageKind::kModelUpload:
+    case net::MessageKind::kModelBroadcast:
+      return false;
+    case net::MessageKind::kRetryRequest:
+    case net::MessageKind::kHello:
+    case net::MessageKind::kRoundSync:
+      return true;
+  }
+  return true;
+}
+
+void inject_corruption(net::MessageKind kind, double rate, core::Rng& rng,
+                       std::vector<std::uint8_t>& frame) {
+  if (rate <= 0.0 || is_control(kind) ||
+      frame.size() <= net::kFrameHeaderBytes + net::kFrameTrailerBytes ||
+      !rng.bernoulli(rate))
+    return;
+  const std::size_t payload_len =
+      frame.size() - net::kFrameHeaderBytes - net::kFrameTrailerBytes;
+  const std::uint64_t bit = rng.uniform_index(payload_len * 8);
+  frame[net::kFrameHeaderBytes + std::size_t(bit / 8)] ^=
+      std::uint8_t(1u << (bit % 8));
 }
 
 }  // namespace fedms::transport

@@ -49,6 +49,10 @@
 
 #include "net/message.h"
 
+namespace fedms::core {
+class Rng;
+}
+
 namespace fedms::transport {
 
 inline constexpr std::uint32_t kFrameMagic = 0x31534D46u;  // "FMS1"
@@ -85,6 +89,18 @@ enum class FrameError {
 };
 
 const char* to_string(FrameError error);
+
+// True for protocol-plumbing kinds that exist only on real transports
+// (never billed as data traffic): hello, round-sync, retry requests.
+bool is_control(net::MessageKind kind);
+
+// Transit-corruption injection for tests and experiments, shared by every
+// socket sender: with probability `rate`, flips one payload bit of the
+// encoded data `frame` after its CRC was computed, so the receiver's
+// check rejects the frame while the stream stays framed. Control frames
+// are never touched. A zero rate returns before any RNG draw.
+void inject_corruption(net::MessageKind kind, double rate, core::Rng& rng,
+                       std::vector<std::uint8_t>& frame);
 
 // CRC32C (Castagnoli), reflected polynomial 0x82F63B78 — the checksum used
 // by the frame trailer. `seed` allows incremental computation.

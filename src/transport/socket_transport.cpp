@@ -59,21 +59,6 @@ sockaddr_in tcp_sockaddr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
-// Polls one fd for POLLIN until `deadline_seconds` (monotonic clock).
-// EINTR re-polls with the remaining budget — a signal must not be
-// mistaken for a timeout.
-bool poll_readable(int fd, double deadline_seconds) {
-  for (;;) {
-    const double remaining = deadline_seconds - now_seconds();
-    if (remaining <= 0) return false;
-    pollfd p{fd, POLLIN, 0};
-    const int rc = ::poll(&p, 1, int(remaining * 1000.0) + 1);
-    if (rc > 0) return true;
-    if (rc == 0) return false;
-    if (errno != EINTR) raise_errno("poll");
-  }
-}
-
 }  // namespace
 
 void set_nonblocking(int fd) {
@@ -221,96 +206,6 @@ SocketTransport::Peer& SocketTransport::peer_for(const net::NodeId& id) {
   throw std::runtime_error("no connection to " + net::to_string(id));
 }
 
-std::string SocketTransport::peer_encoding(const net::NodeId& peer) const {
-  for (const Peer& p : peers_)
-    if (p.id == peer) return p.wire_encoding;
-  return "f32";
-}
-
-std::unique_ptr<SocketTransport> SocketTransport::listen_and_accept(
-    const net::NodeId& self, const SocketAddress& address,
-    std::size_t expected_peers, const SocketTransportOptions& options,
-    double timeout_seconds) {
-  const int listener = make_listener(address, int(expected_peers) + 8);
-
-  std::unique_ptr<SocketTransport> transport(
-      new SocketTransport(self, options));
-  const double deadline = now_seconds() + timeout_seconds;
-  while (transport->peers_.size() < expected_peers) {
-    if (!poll_readable(listener, deadline)) {
-      ::close(listener);
-      throw std::runtime_error("accept timeout on " + address.to_string());
-    }
-    const int fd = ::accept(listener, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-        continue;
-      ::close(listener);
-      raise_errno("accept");
-    }
-    set_nonblocking(fd);
-    if (address.kind == SocketAddress::Kind::kTcp) set_nodelay(fd);
-
-    // The peer identifies itself with a hello frame before anything else.
-    // Bytes past the hello (the peer's first round may already be in
-    // flight) are kept and seed the connection's rx buffer.
-    std::vector<std::uint8_t> buffer;
-    std::optional<net::Message> hello;
-    std::size_t hello_bytes = 0;
-    while (!hello.has_value()) {
-      FrameError error = FrameError::kNone;
-      const auto size =
-          FrameCodec::frame_size(buffer.data(), buffer.size(), &error);
-      if (error != FrameError::kNone) {
-        ::close(fd);
-        ::close(listener);
-        throw std::runtime_error(std::string("bad hello frame: ") +
-                                 to_string(error));
-      }
-      if (size.has_value() && buffer.size() >= *size) {
-        const FrameCodec::DecodeResult decoded =
-            transport->codec_.decode(buffer.data(), *size);
-        if (!decoded.ok() ||
-            decoded.message.kind != net::MessageKind::kHello) {
-          ::close(fd);
-          ::close(listener);
-          throw std::runtime_error("expected hello frame");
-        }
-        hello = decoded.message;
-        hello_bytes = *size;
-        break;
-      }
-      if (!poll_readable(fd, deadline)) {
-        ::close(fd);
-        ::close(listener);
-        throw std::runtime_error("hello timeout on " + address.to_string());
-      }
-      std::uint8_t chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n > 0) {
-        buffer.insert(buffer.end(), chunk, chunk + n);
-      } else if (n == 0 ||
-                 (errno != EAGAIN && errno != EWOULDBLOCK &&
-                  errno != EINTR)) {
-        ::close(fd);
-        ::close(listener);
-        throw std::runtime_error("peer hung up during hello");
-      }
-    }
-    transport->add_peer(fd, hello->from);
-    transport->stats_.count_received(*hello,
-                                     FrameCodec::framed_size(*hello));
-    if (!hello->hello_encoding.empty())
-      transport->peers_.back().wire_encoding = hello->hello_encoding;
-    transport->peers_.back().rx.assign(
-        buffer.begin() + std::ptrdiff_t(hello_bytes), buffer.end());
-  }
-  ::close(listener);
-  if (address.kind == SocketAddress::Kind::kUnix)
-    ::unlink(address.path.c_str());
-  return transport;
-}
-
 std::unique_ptr<SocketTransport> SocketTransport::connect_mesh(
     const net::NodeId& self, const std::vector<SocketAddress>& servers,
     const SocketTransportOptions& options) {
@@ -379,20 +274,8 @@ void SocketTransport::send(net::Message message) {
     throw std::runtime_error("send to closed peer " +
                              net::to_string(peer.id));
   std::vector<std::uint8_t> frame = codec_.encode(message);
-
-  if (options_.corrupt_rate > 0.0 && !is_control(message.kind) &&
-      frame.size() >
-          net::kFrameHeaderBytes + net::kFrameTrailerBytes &&
-      corrupt_rng_.bernoulli(options_.corrupt_rate)) {
-    // Flip one payload bit after the CRC was computed — the receiver's
-    // check must reject the frame while the stream stays framed.
-    const std::size_t payload_len =
-        frame.size() - net::kFrameHeaderBytes - net::kFrameTrailerBytes;
-    const std::uint64_t bit = corrupt_rng_.uniform_index(payload_len * 8);
-    frame[net::kFrameHeaderBytes + std::size_t(bit / 8)] ^=
-        std::uint8_t(1u << (bit % 8));
-  }
-
+  inject_corruption(message.kind, options_.corrupt_rate, corrupt_rng_,
+                    frame);
   stats_.count_sent(message, frame.size());
   write_all(peer, frame.data(), frame.size());
 }
@@ -434,14 +317,10 @@ void SocketTransport::extract_frames(Peer& peer) {
     FrameCodec::DecodeResult decoded =
         codec_.decode(peer.rx.data() + offset, *size);
     if (decoded.ok()) {
-      if (decoded.message.kind == net::MessageKind::kHello) {
-        // Identification is handled at connection setup; a stray hello is
-        // counted as control traffic and otherwise ignored.
-        stats_.count_received(decoded.message, *size);
-      } else {
-        stats_.count_received(decoded.message, *size);
+      stats_.count_received(decoded.message, *size);
+      // A stray hello is control traffic, never surfaced to the protocol.
+      if (decoded.message.kind != net::MessageKind::kHello)
         inbox_.push_back(std::move(decoded.message));
-      }
     } else if (decoded.error == FrameError::kCrcMismatch ||
                decoded.error == FrameError::kBadPayload) {
       // Bit corruption in transit: telemetry, then carry on — the protocol
@@ -462,20 +341,11 @@ void SocketTransport::extract_frames(Peer& peer) {
 std::optional<net::Message> SocketTransport::receive(
     double timeout_seconds) {
   const double deadline = now_seconds() + timeout_seconds;
-  // Frames may already sit fully buffered (e.g. bytes that rode in with a
-  // hello during accept) — drain those before blocking on the sockets.
-  bool scan_buffers = true;
   for (;;) {
     if (!inbox_.empty()) {
       net::Message message = std::move(inbox_.front());
       inbox_.pop_front();
       return message;
-    }
-    if (scan_buffers) {
-      scan_buffers = false;
-      for (Peer& peer : peers_)
-        if (!peer.rx.empty()) extract_frames(peer);
-      continue;
     }
     std::vector<pollfd> fds;
     std::vector<Peer*> open;

@@ -1,13 +1,14 @@
-// Socket-backed Transport: the Fed-MS protocol over real process
-// boundaries — Unix-domain sockets or localhost TCP, nonblocking I/O.
+// Socket-backed Transport: the client side of the Fed-MS protocol over
+// real process boundaries — Unix-domain sockets or localhost TCP,
+// nonblocking I/O.
 //
-// Topology: every parameter server listens; every client connects to
-// every PS (the protocol is strictly client<->PS, so the client side of
-// the mesh is the whole mesh). Connections are identified by a kHello
-// frame sent immediately after connect. Connect races the listener coming
-// up, so the client retries with the same bounded exponential backoff
-// policy the event-driven runtime uses for broadcast re-requests
-// (runtime::Backoff).
+// Topology: every parameter server listens (eventloop::EventLoopServer,
+// the one PS endpoint); every client connects to every PS (the protocol
+// is strictly client<->PS, so the client side of the mesh is the whole
+// mesh). Connections are identified by a kHello frame sent immediately
+// after connect. Connect races the listener coming up, so the client
+// retries with the same bounded exponential backoff policy the
+// event-driven runtime uses for broadcast re-requests (runtime::Backoff).
 //
 // Failure semantics:
 //   * A frame whose CRC32C check fails is counted in the receiving
@@ -20,8 +21,8 @@
 //   * Peer hangup marks the connection dead; pending protocol waits then
 //     time out (receive() returns nullopt).
 //
-// `corrupt_rate` injects transit corruption for tests/experiments: a sent
-// data frame has one payload bit flipped after the CRC was computed.
+// `corrupt_rate` injects transit corruption for tests/experiments
+// (transport::inject_corruption).
 #pragma once
 
 #include <cstdint>
@@ -80,13 +81,6 @@ struct SocketTransportOptions {
 
 class SocketTransport final : public Transport {
  public:
-  // PS side: bind + listen on `address`, accept exactly `expected_peers`
-  // connections and read each peer's hello, within `timeout_seconds`.
-  static std::unique_ptr<SocketTransport> listen_and_accept(
-      const net::NodeId& self, const SocketAddress& address,
-      std::size_t expected_peers, const SocketTransportOptions& options,
-      double timeout_seconds);
-
   // Client side: connect to servers[s] for every PS index s (retrying
   // with options.connect_backoff) and send hellos.
   static std::unique_ptr<SocketTransport> connect_mesh(
@@ -106,8 +100,6 @@ class SocketTransport final : public Transport {
   void send(net::Message message) override;
   std::optional<net::Message> receive(double timeout_seconds) override;
   const EndpointStats& stats() const override { return stats_; }
-  // From the peer's hello (listen_and_accept side); "f32" otherwise.
-  std::string peer_encoding(const net::NodeId& peer) const override;
 
  private:
   struct Peer {
@@ -115,7 +107,6 @@ class SocketTransport final : public Transport {
     net::NodeId id;
     std::vector<std::uint8_t> rx;  // partial inbound frame bytes
     bool closed = false;
-    std::string wire_encoding = "f32";  // from the peer's hello
   };
 
   SocketTransport(const net::NodeId& self,

@@ -7,19 +7,6 @@
 
 namespace fedms::transport {
 
-bool is_control(net::MessageKind kind) {
-  switch (kind) {
-    case net::MessageKind::kModelUpload:
-    case net::MessageKind::kModelBroadcast:
-      return false;
-    case net::MessageKind::kRetryRequest:
-    case net::MessageKind::kHello:
-    case net::MessageKind::kRoundSync:
-      return true;
-  }
-  return true;
-}
-
 LinkStats& LinkStats::operator+=(const LinkStats& other) {
   messages += other.messages;
   bytes += other.bytes;

@@ -9,9 +9,10 @@
 //     the existing net::SimNetwork bus (wrapped in a mutex + condvar so
 //     node threads can block on it). Zero-copy, no framing; the reference
 //     backend every other one must match bit-for-bit.
-//   * SocketTransport (socket_transport.h) — Unix-domain or localhost TCP
-//     sockets with nonblocking I/O; every message is a CRC32C-framed
-//     binary frame (transport/frame.h).
+//   * Sockets — Unix-domain or localhost TCP with nonblocking I/O; every
+//     message is a CRC32C-framed binary frame (transport/frame.h).
+//     Clients use SocketTransport (socket_transport.h); every PS is an
+//     eventloop::EventLoopServer (src/eventloop/server.h).
 //
 // Telemetry: every endpoint keeps per-link counters split into *data*
 // traffic (model uploads/broadcasts — the bytes the paper's communication
@@ -37,10 +38,6 @@
 #include "transport/frame.h"
 
 namespace fedms::transport {
-
-// True for protocol-plumbing kinds that exist only on real transports
-// (never billed as data traffic): hello, round-sync, retry requests.
-bool is_control(net::MessageKind kind);
 
 struct LinkStats {
   std::uint64_t messages = 0;  // data messages (upload/broadcast)
@@ -83,8 +80,8 @@ class Transport {
 
   // The wire-encoding spec `peer` announced in its kHello frame — the
   // encoding it wants payloads sent to it in. "f32" when the peer never
-  // announced one (or the backend has no negotiation, like the in-memory
-  // hub before registration).
+  // announced one (or has not yet registered on an in-memory hub), or
+  // when this endpoint receives no hellos (a client's SocketTransport).
   virtual std::string peer_encoding(const net::NodeId& peer) const {
     (void)peer;
     return "f32";

@@ -193,6 +193,37 @@ def main():
                  ["unknown flag", "--compression"])
     expect_error(node, ["--mode", "launch", "--compression", "int8"],
                  ["unknown flag", "--compression"])
+    # The PS runtime option is gone with the blocking PS: every PS runs
+    # on the event loop.
+    expect_error(node, ["--mode", "launch", "--runtime", "eventloop"],
+                 ["unknown flag", "--runtime"])
+    # Node roles: an --index outside the topology is a usage error, not a
+    # read past the address table or an endless connect backoff.
+    with tempfile.TemporaryDirectory() as scratch:
+        dirs = ["--socket-dir", scratch, "--report-dir", scratch]
+        expect_error(node, ["--mode", "server", "--index", "5",
+                            "--servers", "2"] + dirs,
+                     ["--index 5 is out of range for --servers 2"],
+                     one_line=True)
+        expect_error(node, ["--mode", "client", "--index", "9",
+                            "--clients", "4"] + dirs,
+                     ["--index 9 is out of range for --clients 4"],
+                     one_line=True)
+    # Transport numbers are checked before any node starts.
+    for rate in ("1", "1.5", "-0.1"):
+        for mode in ("inmem", "launch"):
+            expect_error(node, ["--mode", mode, "--corrupt-rate", rate],
+                         ["--corrupt-rate must be in [0, 1)"],
+                         one_line=True)
+    expect_error(node, ["--mode", "launch", "--filter-threads", "-1"],
+                 ["--filter-threads must be >= 0"], one_line=True)
+    expect_error(node, ["--mode", "launch", "--backend", "tcp",
+                        "--tcp-port-base", "0"],
+                 ["--tcp-port-base 0", "inside 1..65535"], one_line=True)
+    expect_error(node, ["--mode", "launch", "--backend", "tcp",
+                        "--servers", "2", "--tcp-port-base", "65535"],
+                 ["--tcp-port-base 65535", "inside 1..65535"],
+                 one_line=True)
     # Invalid combinations: stateful wire streams need the sync engine,
     # and they cannot absorb dropped frames.
     expect_error(sim, ["--wire-encoding", "delta+int8", "--runtime", "async"],

@@ -5,9 +5,10 @@
 // documented rejection. The table below is the list of gaps; a feature
 // that is silently unavailable in one engine cannot hide here.
 //
-// The event-loop runtime (fedms_node --runtime eventloop) is left to the
-// `fedms_node --verify` smokes (tool_fedms_node_eventloop_smoke and
-// scripts/check.sh's per-encoding runs), which need real sockets.
+// The multi-process run (clients on SocketTransport, every PS an
+// event-loop server) is left to the `fedms_node --verify` smokes
+// (tool_fedms_node_launch_smoke, tool_fedms_node_eventloop_smoke and
+// scripts/check.sh's per-encoding and TCP runs), which need real sockets.
 #include <gtest/gtest.h>
 
 #include <cstdint>

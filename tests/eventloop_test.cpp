@@ -1,8 +1,8 @@
 // Event-loop server runtime: reactor backend equivalence, the connection
-// handshake, backpressure plumbing, fd-budget probing, and a full Fed-MS
-// run where every PS is an EventLoopServer — which must match the
-// in-memory reference bit for bit (the same differential oracle the
-// blocking socket transport passes).
+// handshake, backpressure plumbing, PS->client corruption injection,
+// fd-budget probing, and a full Fed-MS run over real sockets where every
+// PS is an EventLoopServer — which must match the in-memory reference bit
+// for bit.
 #include "eventloop/server.h"
 
 #include <sys/socket.h>
@@ -243,6 +243,53 @@ TEST(EventLoopServer, SendToUnknownPeerIsCountedDrop) {
   EXPECT_EQ(server.stats().total_sent().messages, 0u);  // not billed
 }
 
+TEST(EventLoopServer, InjectedCorruptionIsCountedAndDroppedByClient) {
+  EventLoopOptions options;
+  options.corrupt_rate = 1.0;  // every data frame
+  options.corrupt_seed = 5;
+  EventLoopServer server(net::server_id(0), options);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  server.adopt(fds[1]);
+  auto client = transport::SocketTransport::from_connected_fd(
+      net::client_id(0), net::server_id(0), fds[0]);
+  client->send(hello_from(0));
+  EXPECT_FALSE(server.receive(0.2).has_value());  // hellos never surface
+  ASSERT_EQ(server.identified_count(), 1u);
+
+  constexpr std::uint64_t kRounds = 3;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    net::Message broadcast;
+    broadcast.from = net::server_id(0);
+    broadcast.to = net::client_id(0);
+    broadcast.kind = net::MessageKind::kModelBroadcast;
+    broadcast.round = round;
+    broadcast.payload.assign(64, 0.5f);
+    server.send(broadcast);
+    net::Message sync = broadcast;
+    sync.kind = net::MessageKind::kRoundSync;
+    sync.payload.clear();
+    server.send(sync);
+  }
+  ASSERT_TRUE(server.flush(5.0));
+
+  // Control frames are never corrupted: every round-sync arrives, in
+  // order, and no broadcast does.
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    const auto m = client->receive(5.0);
+    ASSERT_TRUE(m.has_value()) << "round " << round;
+    EXPECT_EQ(m->kind, net::MessageKind::kRoundSync);
+    EXPECT_EQ(m->round, round);
+  }
+  EXPECT_FALSE(client->receive(0.2).has_value());
+  const transport::LinkStats received =
+      client->stats().received.at(net::server_id(0));
+  EXPECT_EQ(received.corrupt_frames, kRounds);
+  EXPECT_EQ(received.messages, 0u);
+  EXPECT_EQ(received.control_messages, kRounds);
+  EXPECT_EQ(server.stats().total_sent().messages, kRounds);  // billed
+}
+
 // ---- fd budget probing ----
 
 TEST(EnsureFdBudget, CurrentUsageFitsAndAbsurdRequestErrors) {
@@ -280,8 +327,8 @@ TEST(EventLoopServer, FullRunMatchesInMemoryBitForBit) {
   const transport::TransportRunSummary reference =
       transport::run_transport_experiment(workload, fed, hub);
 
-  // Servers are event-loop endpoints; clients keep the blocking mesh
-  // (their side is 1:P, not K:1 — multiplexing buys nothing there).
+  // Servers are event-loop endpoints; clients keep the SocketTransport
+  // mesh (their side is 1:P, not K:1 — multiplexing buys nothing there).
   const core::ScratchDir scratch;
   const std::string& dir = scratch.path();
   std::vector<transport::SocketAddress> addresses;

@@ -1,6 +1,7 @@
-// Socket transport: framing over real kernel sockets, connect backoff, CRC
-// rejection of in-transit corruption, and a full multi-node Fed-MS run over
-// Unix-domain sockets that must match the in-memory reference bit for bit.
+// Socket transport: framing over real kernel sockets, connect backoff and
+// CRC rejection of in-transit corruption. The full multi-node run over
+// real sockets (clients on SocketTransport, every PS an EventLoopServer) is
+// pinned against the in-memory reference in eventloop_test.
 #include "transport/socket_transport.h"
 
 #include <sys/socket.h>
@@ -14,9 +15,8 @@
 #include <thread>
 
 #include "core/scratch_dir.h"
-#include "fl/experiment.h"
+#include "eventloop/server.h"
 #include "transport/frame.h"
-#include "transport/node_runner.h"
 
 namespace fedms::transport {
 namespace {
@@ -187,8 +187,9 @@ TEST(SocketTransport, ConnectRetriesUntilListenerIsUp) {
                                            options);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  auto server = SocketTransport::listen_and_accept(
-      net::server_id(0), address, 1, SocketTransportOptions{}, 10.0);
+  // The kernel completes connects against the listen backlog; the server
+  // accepts them (and reads the hello) inside receive().
+  auto server = eventloop::EventLoopServer::listen(net::server_id(0), address);
   connector.join();
 
   ASSERT_NE(client, nullptr);
@@ -261,77 +262,6 @@ TEST(SocketTransport, SyscallLoopsSurviveEintrStorm) {
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->payload, big.payload);
   EXPECT_EQ(pair.server->stats().total_received().corrupt_frames, 0u);
-}
-
-// The full protocol over real Unix-domain sockets, every node on its own
-// thread, must equal the in-memory reference run bit for bit.
-TEST(SocketTransport, FullRunOverUnixSocketsMatchesInMemory) {
-  fl::WorkloadConfig workload;
-  workload.samples = 300;
-  workload.model = "mlp";
-  workload.mlp_hidden = {8};
-
-  fl::FedMsConfig fed;
-  fed.clients = 3;
-  fed.servers = 2;
-  fed.byzantine = 1;
-  fed.rounds = 2;
-  fed.local_iterations = 2;
-  fed.client_filter = "trmean:0.4";
-  fed.attack = "noise";
-  fed.eval_every = 1;
-  fed.seed = 5;
-
-  // Reference: in-memory transport run.
-  InMemoryHub hub;
-  const TransportRunSummary reference =
-      run_transport_experiment(workload, fed, hub);
-
-  // Real sockets: servers listen, clients connect, all on threads.
-  const core::ScratchDir scratch;
-  const std::string& dir = scratch.path();
-  std::vector<SocketAddress> addresses;
-  for (std::size_t p = 0; p < fed.servers; ++p)
-    addresses.push_back(
-        SocketAddress::unix_path(dir + "/ps" + std::to_string(p) + ".sock"));
-  const fl::Workload data = fl::make_workload(workload, fed);
-
-  TransportRunSummary summary;
-  summary.clients.resize(fed.clients);
-  summary.servers.resize(fed.servers);
-  std::vector<std::thread> threads;
-  for (std::size_t p = 0; p < fed.servers; ++p) {
-    threads.emplace_back([&, p] {
-      auto transport = SocketTransport::listen_and_accept(
-          net::server_id(p), addresses[p], fed.clients,
-          SocketTransportOptions{}, 30.0);
-      summary.servers[p] =
-          run_server_node(*transport, workload, fed, p, 30.0);
-    });
-  }
-  for (std::size_t k = 0; k < fed.clients; ++k) {
-    threads.emplace_back([&, k] {
-      auto transport = SocketTransport::connect_mesh(
-          net::client_id(k), addresses, SocketTransportOptions{});
-      summary.clients[k] =
-          run_client_node(*transport, data, workload, fed, k, 30.0);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  EXPECT_EQ(summary.mean_accuracy(), reference.mean_accuracy());
-  for (std::size_t k = 0; k < fed.clients; ++k)
-    EXPECT_EQ(summary.clients[k].model_crc,
-              reference.clients[k].model_crc);
-
-  const auto socket_totals = summary.data_totals();
-  const auto reference_totals = reference.data_totals();
-  EXPECT_EQ(socket_totals.uplink_bytes, reference_totals.uplink_bytes);
-  EXPECT_EQ(socket_totals.uplink_messages,
-            reference_totals.uplink_messages);
-  EXPECT_EQ(socket_totals.downlink_bytes, reference_totals.downlink_bytes);
-  EXPECT_EQ(socket_totals.downlink_messages,
-            reference_totals.downlink_messages);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 //                             localhost TCP (--backend tcp), then collect
 //                             per-node report files
 //   --mode client --index k   one client process (used by the launcher)
-//   --mode server --index p   one PS process (used by the launcher)
+//   --mode server --index p   one PS process (used by the launcher): an
+//                             eventloop::EventLoopServer multiplexing all
+//                             K clients
 //
 // Every process re-derives its node's state from the shared (seed, config)
 // pair, so the run needs no coordinator beyond the sockets themselves.
@@ -77,14 +79,13 @@ struct NodeCli {
   fl::FedMsConfig fed;
   std::string mode = "inmem";
   std::string backend = "unix";
-  std::string runtime = "blocking";
   std::string rounding_mode;  // "" = leave the ambient fenv mode alone
   std::size_t filter_threads = 0;
   std::size_t index = 0;
   std::string socket_dir;
   std::string report_dir;
   std::string trace_dir;
-  int tcp_port_base = 0;
+  std::int64_t tcp_port_base = 0;
   double timeout_seconds = 120.0;
   double corrupt_rate = 0.0;
   std::uint64_t corrupt_seed = 0;
@@ -100,7 +101,8 @@ std::vector<transport::SocketAddress> server_addresses(const NodeCli& cli) {
           cli.socket_dir + "/ps" + std::to_string(p) + ".sock"));
     else
       addresses.push_back(transport::SocketAddress::tcp(
-          "127.0.0.1", std::uint16_t(cli.tcp_port_base + int(p))));
+          "127.0.0.1",
+          std::uint16_t(cli.tcp_port_base + std::int64_t(p))));
   }
   return addresses;
 }
@@ -108,10 +110,9 @@ std::vector<transport::SocketAddress> server_addresses(const NodeCli& cli) {
 transport::SocketTransportOptions socket_options(const NodeCli& cli,
                                                  const net::NodeId& self) {
   transport::SocketTransportOptions options;
-  // Only clients announce: broadcasts come back in this encoding. Uploads
-  // need no announcement — frames are self-describing.
-  if (self.kind == net::NodeKind::kClient)
-    options.wire_encoding = cli.fed.wire_encoding;
+  // Clients announce it in their hellos: broadcasts come back in this
+  // encoding. Uploads need no announcement — frames are self-describing.
+  options.wire_encoding = cli.fed.wire_encoding;
   options.corrupt_rate = cli.corrupt_rate;
   // Distinct deterministic corruption stream per process.
   options.corrupt_seed =
@@ -203,20 +204,15 @@ int run_server_process(const NodeCli& cli) {
     throw std::runtime_error(e);
   const FilterPool filter_pool(cli.filter_threads);
 
-  transport::NodeReport report;
-  if (cli.runtime == "eventloop") {
-    auto transport = eventloop::EventLoopServer::listen(
-        self, server_addresses(cli)[cli.index]);
-    report = transport::run_server_node(*transport, cli.workload, cli.fed,
-                                        cli.index, cli.timeout_seconds);
-    transport->flush(cli.timeout_seconds);
-  } else {
-    auto transport = transport::SocketTransport::listen_and_accept(
-        self, server_addresses(cli)[cli.index], cli.fed.clients,
-        socket_options(cli, self), cli.timeout_seconds);
-    report = transport::run_server_node(*transport, cli.workload, cli.fed,
-                                        cli.index, cli.timeout_seconds);
-  }
+  const transport::SocketTransportOptions socket = socket_options(cli, self);
+  eventloop::EventLoopOptions options;
+  options.corrupt_rate = socket.corrupt_rate;
+  options.corrupt_seed = socket.corrupt_seed;
+  auto transport = eventloop::EventLoopServer::listen(
+      self, server_addresses(cli)[cli.index], options);
+  const transport::NodeReport report = transport::run_server_node(
+      *transport, cli.workload, cli.fed, cli.index, cli.timeout_seconds);
+  transport->flush(cli.timeout_seconds);
   write_report(cli, report);
   if (!cli.trace_dir.empty()) {
     obs::set_enabled(false);
@@ -347,7 +343,6 @@ std::vector<std::string> child_args(const NodeCli& cli, const char* role,
       "--mode", role,
       "--index", std::to_string(index),
       "--backend", cli.backend,
-      "--runtime", cli.runtime,
       "--rounding-mode", cli.rounding_mode,
       "--filter-threads", std::to_string(cli.filter_threads),
       "--socket-dir", cli.socket_dir,
@@ -472,9 +467,6 @@ int main(int argc, char** argv) {
   flags.add_string("mode", "inmem", "inmem | launch | client | server");
   flags.add_int("index", 0, "node index (client/server modes)");
   flags.add_string("backend", "unix", "socket backend: unix | tcp");
-  flags.add_string("runtime", "blocking",
-                   "PS runtime: blocking (one blocking transport) | "
-                   "eventloop (epoll reactor multiplexing all clients)");
   flags.add_string("rounding-mode", "",
                    "pin the fenv rounding mode for this process (and every "
                    "forked node): nearest | upward | downward | towardzero "
@@ -496,7 +488,8 @@ int main(int argc, char** argv) {
   flags.add_double("timeout", 120.0,
                    "per-stage receive/accept timeout in seconds");
   flags.add_double("corrupt-rate", 0.0,
-                   "probability a sent data frame is corrupted in transit");
+                   "probability in [0, 1) that a sent data frame (client "
+                   "upload or PS broadcast) is corrupted in transit");
   flags.add_int("corrupt-seed", 0, "corruption stream seed");
   flags.add_bool("verify", false,
                  "launch/inmem: re-run on the in-process simulator and "
@@ -536,13 +529,12 @@ int main(int argc, char** argv) {
   cli.mode = flags.get_string("mode");
   cli.index = std::size_t(flags.get_int("index"));
   cli.backend = flags.get_string("backend");
-  cli.runtime = flags.get_string("runtime");
   cli.rounding_mode = flags.get_string("rounding-mode");
-  cli.filter_threads = std::size_t(flags.get_int("filter-threads"));
+  const std::int64_t filter_threads = flags.get_int("filter-threads");
   cli.socket_dir = flags.get_string("socket-dir");
   cli.report_dir = flags.get_string("report-dir");
   cli.trace_dir = flags.get_string("trace-dir");
-  cli.tcp_port_base = int(flags.get_int("tcp-port-base"));
+  cli.tcp_port_base = flags.get_int("tcp-port-base");
   cli.timeout_seconds = flags.get_double("timeout");
   cli.corrupt_rate = flags.get_double("corrupt-rate");
   cli.corrupt_seed = std::uint64_t(flags.get_int("corrupt-seed"));
@@ -596,8 +588,21 @@ int main(int argc, char** argv) {
     transport::check_transport_supported(cli.fed);
     if (cli.backend != "unix" && cli.backend != "tcp")
       throw std::runtime_error("--backend must be unix or tcp");
-    if (cli.runtime != "blocking" && cli.runtime != "eventloop")
-      throw std::runtime_error("--runtime must be blocking or eventloop");
+    // Transport numbers, before anything sizes a pool or a port from them.
+    if (!(cli.corrupt_rate >= 0.0 && cli.corrupt_rate < 1.0))
+      throw std::runtime_error("--corrupt-rate must be in [0, 1), got " +
+                               std::to_string(cli.corrupt_rate));
+    if (filter_threads < 0)
+      throw std::runtime_error("--filter-threads must be >= 0, got " +
+                               std::to_string(filter_threads));
+    cli.filter_threads = std::size_t(filter_threads);
+    if (cli.backend == "tcp" &&
+        (cli.fed.servers > 65535 || cli.tcp_port_base < 1 ||
+         cli.tcp_port_base > 65536 - std::int64_t(cli.fed.servers)))
+      throw std::runtime_error(
+          "--tcp-port-base " + std::to_string(cli.tcp_port_base) +
+          " must keep the PS ports base..base+P-1 inside 1..65535 (P=" +
+          std::to_string(cli.fed.servers) + ")");
     if (const std::string e =
             core::check_rounding_mode_spec(cli.rounding_mode);
         !e.empty())
@@ -610,14 +615,6 @@ int main(int argc, char** argv) {
           core::parse_rounding_mode(cli.rounding_mode, &fenv_mode));
       std::fesetround(fenv_mode);
     }
-    if (cli.runtime == "eventloop" && cli.mode == "inmem")
-      throw std::runtime_error(
-          "--runtime eventloop needs real sockets (use --mode launch, "
-          "client, or server)");
-    if (cli.runtime == "eventloop" && cli.corrupt_rate > 0.0)
-      throw std::runtime_error(
-          "--runtime eventloop does not inject transit corruption; use "
-          "the blocking runtime with --corrupt-rate");
     if (cli.verify && cli.corrupt_rate > 0.0)
       throw std::runtime_error(
           "--verify requires --corrupt-rate 0 (corruption changes the "
@@ -635,6 +632,14 @@ int main(int argc, char** argv) {
             "breaks the reference chain); use f32/fp16/int8");
     }
     if (cli.mode == "client" || cli.mode == "server") {
+      const bool client = cli.mode == "client";
+      const std::size_t nodes = client ? cli.fed.clients : cli.fed.servers;
+      if (cli.index >= nodes)
+        throw std::runtime_error(
+            "--index " + std::to_string(std::int64_t(cli.index)) +
+            " is out of range for " + (client ? "--clients " : "--servers ") +
+            std::to_string(nodes) + " (want 0.." +
+            std::to_string(nodes - 1) + ")");
       if (cli.backend == "unix" && cli.socket_dir.empty())
         throw std::runtime_error("--socket-dir is required with unix sockets");
       if (cli.report_dir.empty())
