@@ -122,23 +122,11 @@ ctest --test-dir "$build" --output-on-failure
 echo "== fuzz harness (committed corpus + 200 fresh schedules) =="
 # Every corpus seed and a fresh batch must pass all differential +
 # invariant oracles; a failure writes a shrunk repro JSON for replay.
-fuzz_repro_dir="$(mktemp -d)"
-trap 'rm -rf "$fuzz_repro_dir"' EXIT
+work_dir="$(mktemp -d)"
+trap 'rm -rf "$work_dir"' EXIT
 "$build/tools/fedms_fuzz" --corpus "$repo/tests/fuzz/corpus.txt" \
-  --seeds 200 --repro-dir "$fuzz_repro_dir"
-"$build/tools/fedms_fuzz" --self-test --repro-dir "$fuzz_repro_dir"
-
-echo "== multi-process smoke (Unix sockets: 4x2, then 8x4 sharded filter) =="
-# Real processes, real sockets: the launcher forks one process per node
-# (every PS an epoll event-loop server), runs 2 full Fed-MS rounds, then
-# verifies the final accuracy, per-client model CRCs, and per-direction
-# byte totals bit-for-bit against the round-synchronous simulator. The
-# second run shards the aggregation filter across a 2-thread pool.
-"$build/tools/fedms_node" --mode launch --backend unix \
-  --clients 4 --servers 2 --byzantine 1 --rounds 2 --samples 400 --verify
-"$build/tools/fedms_node" --mode launch --backend unix \
-  --clients 8 --servers 4 --byzantine 1 --rounds 2 --samples 400 \
-  --filter-threads 2 --verify
+  --seeds 200 --repro-dir "$work_dir"
+"$build/tools/fedms_fuzz" --self-test --repro-dir "$work_dir"
 
 echo "== multi-process smoke over localhost TCP =="
 # The event-loop PS's TCP accept path (TCP_NODELAY on every accepted
@@ -160,21 +148,24 @@ done
   --clients 4 --servers 2 --byzantine 1 --rounds 2 --samples 400 \
   --wire-encoding topk:0.25 --verify
 
-echo "== trace smoke (sim + multi-process, Chrome trace JSON) =="
-# Both execution paths must emit loadable Chrome traces: the simulator via
-# --trace-out and the launcher via --trace-dir (per-node files merged into
-# merged.trace.json with consistent stage order — the launcher exits
-# nonzero otherwise).
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$fuzz_repro_dir" "$trace_dir"' EXIT
+echo "== trace smoke (sim + multi-process + grid, Chrome trace JSON) =="
+# Every traced tool must emit loadable Chrome traces: the simulator via
+# --trace-out, the launcher and the grid runner via --trace-dir (per-node
+# or per-cell files merged into merged.trace.json with consistent stage
+# order — both tools exit nonzero otherwise).
+trace_dir="$work_dir/trace"
+mkdir "$trace_dir"
 "$build/tools/fedms_sim" --clients 4 --servers 2 --byzantine 1 --rounds 2 \
   --samples 400 --eval-every 1000 --trace-out "$trace_dir/sim.trace.json" \
   > /dev/null
 "$build/tools/fedms_node" --mode launch --backend unix \
   --clients 2 --servers 2 --byzantine 1 --rounds 2 --samples 200 \
   --trace-dir "$trace_dir/nodes" > /dev/null
+"$build/tools/fedms_matrix" --scenario "$repo/examples/churn.json" \
+  --defenses trmean:0.2 --attacks signflip --seeds 1 \
+  --out-dir "$trace_dir/grid-out" --trace-dir "$trace_dir/grid" > /dev/null
 python3 - "$trace_dir/sim.trace.json" "$trace_dir/nodes/merged.trace.json" \
-  <<'PY'
+  "$trace_dir/grid/merged.trace.json" <<'PY'
 import json, sys
 for path in sys.argv[1:]:
     trace = json.load(open(path))
@@ -183,51 +174,8 @@ for path in sys.argv[1:]:
     missing = {"local_training", "upload", "aggregation", "dissemination",
                "filter"} - stages
     assert not missing, f"{path}: missing stage spans {missing}"
-print("trace smoke OK (sim + merged node traces parse, all stages present)")
-PY
-
-echo "== sweep smoke (bit-equality across --jobs on examples/churn.json) =="
-# The batch runner's core contract: every cell is a pure function of
-# (scenario, defense, seed), so packing cells across the thread pool must
-# not change one output byte.
-sweep_dir="$(mktemp -d)"
-trap 'rm -rf "$fuzz_repro_dir" "$trace_dir" "$sweep_dir"' EXIT
-"$build/tools/fedms_sweep" --scenario "$repo/examples/churn.json" \
-  --seeds 4 --defenses trmean:0.2,mean --jobs 1 \
-  --out-dir "$sweep_dir/serial" > /dev/null
-"$build/tools/fedms_sweep" --scenario "$repo/examples/churn.json" \
-  --seeds 4 --defenses trmean:0.2,mean --jobs "$jobs" \
-  --out-dir "$sweep_dir/packed" > /dev/null
-diff -r "$sweep_dir/serial" "$sweep_dir/packed"
-echo "sweep smoke OK (8 cells byte-identical across --jobs 1 and $jobs)"
-
-echo "== matrix smoke (micro-matrix vs committed golden surface) =="
-# The (defense x attack) matrix runner: the seeded 2x2x2 micro-matrix must
-# be byte-identical across --jobs and reproduce the committed golden
-# surface within a per-cell accuracy tolerance. (Exact byte equality with
-# the golden is pinned by ctest's tool_fedms_matrix_equality; this stage
-# is the regression alarm with headroom for intentional retuning.)
-"$build/tools/fedms_matrix" --defenses mean,adaptive --attacks signflip,nan \
-  --seeds 2 --jobs 1 --out-dir "$sweep_dir/matrix-serial" > /dev/null
-"$build/tools/fedms_matrix" --defenses mean,adaptive --attacks signflip,nan \
-  --seeds 2 --jobs "$jobs" --out-dir "$sweep_dir/matrix-packed" > /dev/null
-diff -r "$sweep_dir/matrix-serial" "$sweep_dir/matrix-packed"
-python3 - "$sweep_dir/matrix-serial/surface.json" \
-  "$repo/tests/golden/matrix_surface.json" <<'PY'
-import json, sys
-produced = json.load(open(sys.argv[1]))
-golden = json.load(open(sys.argv[2]))
-tol = 0.02
-cells = {(c["defense"], c["attack"], c["seed"]): c["accuracy"]
-         for c in produced["cells"]}
-want = {(c["defense"], c["attack"], c["seed"]): c["accuracy"]
-        for c in golden["cells"]}
-assert cells.keys() == want.keys(), \
-    f"cell sets differ: {sorted(set(cells) ^ set(want))}"
-bad = [(k, cells[k], want[k]) for k in sorted(want)
-       if abs(cells[k] - want[k]) > tol]
-assert not bad, f"cells off golden by more than {tol}: {bad}"
-print(f"matrix smoke OK ({len(want)} cells within {tol} of the golden)")
+print("trace smoke OK (sim + merged node and grid traces parse, "
+      "all stages present)")
 PY
 
 echo "== determinism gate (fenv rounding-mode sweep) =="
@@ -240,8 +188,8 @@ echo "== determinism gate (fenv rounding-mode sweep) =="
 # sharded vs serial, sim vs processes) must agree bit-for-bit WITHIN one.
 for mode in nearest upward downward towardzero; do
   if ! FEDMS_ROUNDING_MODE="$mode" ctest --test-dir "$build" -L unit \
-      --output-on-failure -j "$jobs" > "$sweep_dir/ctest-$mode.log" 2>&1; then
-    cat "$sweep_dir/ctest-$mode.log"
+      --output-on-failure -j "$jobs" > "$work_dir/ctest-$mode.log" 2>&1; then
+    cat "$work_dir/ctest-$mode.log"
     echo "determinism gate FAILED: unit suite broke under mode $mode"
     exit 1
   fi
@@ -261,17 +209,15 @@ for threads in 1 2 4; do
     > /dev/null
 done
 echo "determinism OK (launch --filter-threads 1/2/4 under towardzero)"
-# Sweep bit-equality under a non-default mode, with a one-line
+# Grid bit-equality under a non-default mode, with a one-line
 # first-divergent-CRC diff on mismatch (diff -r would dump whole files).
-FEDMS_ROUNDING_MODE=upward "$build/tools/fedms_sweep" \
-  --scenario "$repo/examples/churn.json" --seeds 4 \
-  --defenses trmean:0.2,mean --jobs 1 \
-  --out-dir "$sweep_dir/mode-serial" > /dev/null
-FEDMS_ROUNDING_MODE=upward "$build/tools/fedms_sweep" \
-  --scenario "$repo/examples/churn.json" --seeds 4 \
-  --defenses trmean:0.2,mean --jobs "$jobs" \
-  --out-dir "$sweep_dir/mode-packed" > /dev/null
-python3 - "$sweep_dir/mode-serial" "$sweep_dir/mode-packed" <<'PY'
+for j in 1 "$jobs"; do
+  FEDMS_ROUNDING_MODE=upward "$build/tools/fedms_matrix" \
+    --scenario "$repo/examples/churn.json" --defenses trmean:0.2,mean \
+    --attacks signflip --seeds 4 --jobs "$j" \
+    --out-dir "$work_dir/mode-jobs$j" > /dev/null
+done
+python3 - "$work_dir/mode-jobs1" "$work_dir/mode-jobs$jobs" <<'PY'
 import pathlib, sys, zlib
 a, b = (pathlib.Path(p) for p in sys.argv[1:3])
 files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
@@ -284,7 +230,7 @@ for rel in files_a:
     if ca != cb:
         sys.exit(f"first divergent cell: {rel} "
                  f"(crc {ca:08x} vs {cb:08x})")
-print(f"sweep bit-equality OK under upward ({len(files_a)} files)")
+print(f"grid bit-equality OK under upward ({len(files_a)} files)")
 PY
 
 echo "== configure + build (ASan + UBSan) =="
@@ -296,7 +242,7 @@ cmake --build "$asan_build" -j "$jobs" \
            eventloop_test eventloop_churn_test fl_wire_encoding_test \
            tensor_gemm_test tensor_workspace_test \
            fl_aggregator_properties_test fl_determinism_test \
-           fl_sharded_filter_test fedms_node fedms_sweep fedms_matrix
+           fl_sharded_filter_test fedms_node fedms_matrix
 
 echo "== runtime + transport + kernel tests under ASan/UBSan =="
 # Death tests fork; ASan is fine with that but needs the default allocator
@@ -323,17 +269,16 @@ echo "== multi-process smoke under ASan/UBSan =="
   --clients 2 --servers 2 --byzantine 1 --rounds 2 --samples 200 \
   --wire-encoding delta+int8 --verify
 
-echo "== sweep runner under ASan/UBSan =="
-# Churn + handoff + thread-pool cell packing with every allocation checked.
-"$asan_build/tools/fedms_sweep" --scenario "$repo/examples/churn.json" \
-  --seeds 2 --jobs "$jobs" --out-dir "$sweep_dir/asan" > /dev/null
-
-echo "== matrix runner under ASan/UBSan =="
+echo "== grid runner under ASan/UBSan =="
 # The adaptive-B estimator and the fedgreed root-batch scorer end to end
-# (per-round estimation, held-out evaluation, cell packing) under ASan.
+# (per-round estimation, held-out evaluation, cell packing), then churn +
+# handoff + thread-pool cell packing, with every allocation checked.
 "$asan_build/tools/fedms_matrix" --defenses adaptive,fedgreed:5 \
   --attacks signflip,nan --seeds 1 --jobs "$jobs" \
-  --out-dir "$sweep_dir/matrix-asan" > /dev/null
+  --out-dir "$work_dir/matrix-asan" > /dev/null
+"$asan_build/tools/fedms_matrix" --scenario "$repo/examples/churn.json" \
+  --defenses trmean:0.2,mean --attacks signflip --seeds 2 --jobs "$jobs" \
+  --out-dir "$work_dir/churn-asan" > /dev/null
 
 echo "== configure + build (TSan) =="
 cmake -B "$tsan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -361,8 +306,8 @@ echo "== benchmark harness (short perfbench runs) =="
 # is judged by same-session A/B runs (EXPERIMENTS.md "Bench workflow").
 for workload in train-mobilenet table2-faults serve-f32 serve-int8; do
   python3 "$repo/perfbench/run.py" --workload "$workload" --seed 1 \
-    --seconds 1 --trace 0 > "$sweep_dir/perfbench-$workload.txt"
-  grep '^# witness' "$sweep_dir/perfbench-$workload.txt"
+    --seconds 1 --trace 0 > "$work_dir/perfbench-$workload.txt"
+  grep '^# witness' "$work_dir/perfbench-$workload.txt"
 done
 python3 "$repo/perfbench/test_stats.py"
 
@@ -373,9 +318,9 @@ echo "== soak per wire encoding (64 clients, f32 / int8 / topk:0.25) =="
 # frame headers weigh in).
 for enc in f32 int8 topk:0.25; do
   "$build/bench/soak" --quick --wire-encoding "$enc" \
-    > "$sweep_dir/soak-$enc.json"
+    > "$work_dir/soak-$enc.json"
 done
-python3 - "$sweep_dir" <<'PY'
+python3 - "$work_dir" <<'PY'
 import json, pathlib, sys
 runs = {enc: json.loads((pathlib.Path(sys.argv[1]) /
                          f"soak-{enc}.json").read_text())["soak"]
@@ -402,8 +347,8 @@ for enc in f32 fp16 int8 delta+int8 topk:0.25; do
   "$build/tools/fedms_sim" --clients 8 --servers 4 --byzantine 1 \
     --client-filter trmean:0.25 --rounds 16 --samples 1600 \
     --eval-every 16 --wire-encoding "$enc" | grep '# final accuracy:'
-done > "$sweep_dir/wire-accuracy.txt"
-python3 - "$sweep_dir/wire-accuracy.txt" <<'PY'
+done > "$work_dir/wire-accuracy.txt"
+python3 - "$work_dir/wire-accuracy.txt" <<'PY'
 import sys
 accuracy = {line.split()[0]: float(line.split("mean")[1].split()[0])
             for line in open(sys.argv[1])}
@@ -418,22 +363,11 @@ print("accuracy per encoding OK: " + ", ".join(
     f"{enc} {value:.4f}" for enc, value in accuracy.items()))
 PY
 
-echo "== sweep throughput (quick grid) =="
-# sweep_throughput exits 1 when the packed cells diverge from sequential.
-"$build/bench/sweep_throughput" --quick > "$sweep_dir/sweep.json"
-python3 - "$sweep_dir/sweep.json" <<'PY'
-import json, sys
-sweep = json.load(open(sys.argv[1]))["sweep_throughput"]
-assert sweep["scenarios_per_hour"] > 0 and sweep["speedup"] > 0, sweep
-print(f"sweep: {sweep['scenarios_per_hour']:.0f} scenarios/h, "
-      f"{sweep['speedup']:.2f}x vs sequential")
-PY
-
 echo "== obs disabled-span cost gate =="
 # A disabled obs::Span is the tax every instrumented stage pays in normal
 # runs (~2 ns); fail at 5x that.
-"$build/bench/micro_obs" --quick > "$sweep_dir/obs.json"
-python3 - "$sweep_dir/obs.json" <<'PY'
+"$build/bench/micro_obs" --quick > "$work_dir/obs.json"
+python3 - "$work_dir/obs.json" <<'PY'
 import json, sys
 cost = json.load(open(sys.argv[1]))["obs"]["span_disabled_ns"]
 assert cost <= 10.0, f"disabled span costs {cost:.2f} ns (gate: 10 ns)"

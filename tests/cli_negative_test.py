@@ -5,7 +5,7 @@ Every malformed invocation must exit with code 1 (a clean error path, not
 a signal/abort) and print a one-line actionable message on stderr that
 names the offending flag or constraint.  Run by ctest as:
 
-    cli_negative_test.py <fedms_sim> <fedms_node> [fedms_sweep [fedms_matrix]]
+    cli_negative_test.py <fedms_sim> <fedms_node> [fedms_matrix]
 """
 import os
 import subprocess
@@ -37,61 +37,15 @@ def expect_error(binary, args, needles, one_line=False):
                             % (label, needle, combined.strip()))
 
 
-def sweep_scenario_error(sweep, text, needles):
+def scenario_error(matrix, text, needles):
     """Write a scenario tempfile and require a one-line error from it."""
     with tempfile.NamedTemporaryFile("w", suffix=".json",
                                      delete=False) as f:
         f.write(text)
         path = f.name
     try:
-        proc = subprocess.run([sweep, "--scenario", path],
-                              stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, timeout=60)
-        err = proc.stderr.decode("utf-8", "replace")
-        label = "fedms_sweep --scenario <%s>" % needles[0]
-        if proc.returncode != 1:
-            failures.append("%s: expected exit code 1, got %d (stderr: %r)"
-                            % (label, proc.returncode, err.strip()))
-            return
-        if err.strip().count("\n") != 0:
-            failures.append("%s: expected a one-line error, got %r"
-                            % (label, err.strip()))
-        for needle in ["fedms_sweep: error:"] + needles:
-            if needle not in err:
-                failures.append("%s: expected %r in stderr, got %r"
-                                % (label, needle, err.strip()))
-    finally:
-        os.unlink(path)
-
-
-def check_sweep(sweep):
-    # Flag-level failures.
-    expect_error(sweep, ["--no-such-flag"],
-                 ["unknown flag", "--no-such-flag"])
-    expect_error(sweep, [], ["--scenario is required"])
-    expect_error(sweep, ["--scenario", "/no/such/scenario.json"],
-                 ["/no/such/scenario.json"])
-
-    # Malformed scenario files: the json layer and the strict schema must
-    # both surface as single-line fedms_sweep errors.
-    sweep_scenario_error(sweep, '{"rounds": 3, "rounds": 4}',
-                         ['duplicate object key "rounds"'])
-    sweep_scenario_error(sweep, '{"name": "x', ["unterminated string"])
-    sweep_scenario_error(sweep, '{"naem": "typo"}',
-                         ['unknown key "naem"'])
-    sweep_scenario_error(
-        sweep,
-        '{"events": [{"type": "leave", "round": 1}]}',
-        ['"leave" event needs a "client" index'])
-
-    # A defense spec that fails fl-config validation.
-    with tempfile.NamedTemporaryFile("w", suffix=".json",
-                                     delete=False) as f:
-        f.write('{"name": "ok"}')
-        path = f.name
-    try:
-        expect_error(sweep, ["--scenario", path, "--defenses",
-                             "trmean:0.7"], ["trmean beta"])
+        expect_error(matrix, ["--scenario", path],
+                     ["fedms_matrix: error:"] + needles, one_line=True)
     finally:
         os.unlink(path)
 
@@ -105,7 +59,17 @@ def check_matrix(matrix):
     expect_error(matrix, ["--scenario", "/no/such/matrix.json"],
                  ["/no/such/matrix.json"])
 
+    # Malformed scenario files: the json layer and the strict schema must
+    # both surface as single-line fedms_matrix errors.
+    scenario_error(matrix, '{"rounds": 3, "rounds": 4}',
+                   ['duplicate object key "rounds"'])
+    scenario_error(matrix, '{"name": "x', ["unterminated string"])
+    scenario_error(matrix, '{"naem": "typo"}', ['unknown key "naem"'])
+    scenario_error(matrix, '{"events": [{"type": "leave", "round": 1}]}',
+                   ['"leave" event needs a "client" index'])
+
     # Malformed axes: every spec/name is validated before any cell runs.
+    expect_error(matrix, ["--defenses", "trmean:0.7"], ["trmean beta"])
     expect_error(matrix, ["--defenses", "quantum"],
                  ['defense "quantum"', "unknown aggregator"])
     expect_error(matrix, ["--defenses", "mean,fedgreed:0"],
@@ -113,17 +77,24 @@ def check_matrix(matrix):
     expect_error(matrix, ["--attacks", "no-such-attack"],
                  ['attack "no-such-attack"'])
 
+    # A trace directory that cannot be created (its parent is a regular
+    # file) fails before any cell runs.
+    with tempfile.TemporaryDirectory() as scratch:
+        blocker = os.path.join(scratch, "file")
+        open(blocker, "w").close()
+        expect_error(matrix, ["--out-dir", os.path.join(scratch, "out"),
+                              "--trace-dir", os.path.join(blocker, "x")],
+                     ["cannot create directory"], one_line=True)
+
 
 def main():
-    if len(sys.argv) not in (3, 4, 5):
+    if len(sys.argv) not in (3, 4):
         print("usage: cli_negative_test.py <fedms_sim> <fedms_node> "
-              "[fedms_sweep [fedms_matrix]]")
+              "[fedms_matrix]")
         return 2
     sim, node = sys.argv[1], sys.argv[2]
-    if len(sys.argv) >= 4:
-        check_sweep(sys.argv[3])
-    if len(sys.argv) >= 5:
-        check_matrix(sys.argv[4])
+    if len(sys.argv) == 4:
+        check_matrix(sys.argv[3])
 
     # Unknown flag: the flag parser itself must reject it.
     expect_error(sim, ["--no-such-flag"], ["unknown flag", "--no-such-flag"])

@@ -1,27 +1,37 @@
-// Full (defense x attack) evaluation-matrix runner.
+// The grid runner: every (defense x attack x seed) cell over one base
+// scenario.
 //
-// Expands every (defense x attack x seed) cell over one base scenario,
-// packs the cells across core::ThreadPool (each cell's training runs
+// Packs the cells across core::ThreadPool (each cell's training runs
 // through the thread-local workspace-arena path, so concurrent cells
 // never share mutable state), writes one deterministic JSON result per
 // cell, and aggregates the final accuracies into a single
 // accuracy-surface artifact. Every cell is a pure function of
 // (scenario, defense, attack, seed) — the per-cell files AND the surface
-// bytes are identical for any --jobs value, which check.sh asserts
-// against a committed golden.
+// bytes are identical for any --jobs value, which
+// tests/matrix_equality_test.py asserts against a committed golden.
 //
 //   fedms_matrix --seeds 2 --jobs 4 --out-dir matrix-out
-//   fedms_matrix --scenario examples/churn.json --seeds 4
+//   fedms_matrix --scenario examples/churn.json --defenses trmean:0.2,mean
+//                --attacks signflip --seeds 4 --jobs 4
 //   fedms_matrix --defenses mean,adaptive --attacks signflip,nan
 //
 // Defaults: the defense axis is fl::default_defense_zoo(P, B) for the
 // scenario's topology, the attack axis is byz::list_attack_names(), and
 // the base scenario is a built-in 2-round micro workload sized so the
-// full zoo-x-zoo matrix stays CI-friendly.
+// full zoo-x-zoo matrix stays CI-friendly. Naming the scenario's own
+// attack as the only attack runs the scenario as written (its
+// attack_switch events still apply).
+//
+// --trace-dir enables obs tracing; the obs registry is process-global,
+// so tracing forces serial cell execution and the per-cell traces are
+// merged round-keyed into <trace-dir>/merged.trace.json. The summary
+// line reports the grid's wall time and cells per hour on stdout only;
+// no output file depends on timing.
 
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -35,6 +45,8 @@
 #include "core/rounding.h"
 #include "core/thread_pool.h"
 #include "fl/aggregators.h"
+#include "obs/obs.h"
+#include "obs/trace_merge.h"
 #include "scenario/engine.h"
 #include "scenario/scenario.h"
 #include "core/json_min.h"
@@ -101,9 +113,8 @@ scenario::Scenario micro_scenario() {
 }
 
 struct Cell {
-  std::size_t scenario_index = 0;  // into the per-attack scenario variants
   std::size_t defense_index = 0;
-  std::size_t attack_index = 0;
+  std::size_t attack_index = 0;  // also indexes the per-attack variants
   std::uint64_t seed = 0;
   std::string path;  // per-cell output JSON file
 };
@@ -134,13 +145,25 @@ int main(int argc, char** argv) {
   flags.add_string("surface", "",
                    "accuracy-surface output path (default: "
                    "<out-dir>/surface.json)");
+  flags.add_string("trace-dir", "",
+                   "write one obs trace per cell here, merged into "
+                   "merged.trace.json (forces --jobs 1)");
   if (!flags.parse(argc, argv)) return 1;
 
   const std::int64_t seeds = flags.get_int("seeds");
   if (seeds < 1) die("--seeds must be >= 1");
-  const std::int64_t jobs = flags.get_int("jobs");
+  std::int64_t jobs = flags.get_int("jobs");
   if (jobs < 1) die("--jobs must be >= 1");
   const std::string out_dir = flags.get_string("out-dir");
+  const std::string trace_dir = flags.get_string("trace-dir");
+  const bool tracing = !trace_dir.empty();
+  if (tracing && jobs != 1) {
+    // The obs registry is process-global: concurrent cells would
+    // interleave their spans. Tracing runs are serial by construction.
+    std::fprintf(stderr, "fedms_matrix: tracing is process-global; "
+                         "forcing --jobs 1\n");
+    jobs = 1;
+  }
 
   scenario::Scenario base;
   const std::string scenario_path = flags.get_string("scenario");
@@ -170,6 +193,7 @@ int main(int argc, char** argv) {
       die("attack \"" + attack + "\": " + error);
 
   ensure_dir(out_dir);
+  if (tracing) ensure_dir(trace_dir);
   const std::string surface_path = flags.get_string("surface").empty()
                                        ? out_dir + "/surface.json"
                                        : flags.get_string("surface");
@@ -193,7 +217,6 @@ int main(int argc, char** argv) {
     for (std::size_t a = 0; a < attacks.size(); ++a)
       for (std::int64_t s = 1; s <= seeds; ++s) {
         Cell cell;
-        cell.scenario_index = a;
         cell.defense_index = d;
         cell.attack_index = a;
         cell.seed = static_cast<std::uint64_t>(s);
@@ -203,17 +226,29 @@ int main(int argc, char** argv) {
       }
 
   std::vector<CellResult> results(cells.size());
+  std::vector<std::string> trace_files;
   const auto run_cell = [&](std::size_t i) {
     const Cell& cell = cells[i];
+    if (tracing) {
+      obs::reset();
+      obs::set_enabled(true);
+    }
     const scenario::ScenarioOutcome outcome = scenario::run_scenario(
-        variants[cell.scenario_index], cell.seed, defenses[cell.defense_index]);
+        variants[cell.attack_index], cell.seed, defenses[cell.defense_index]);
     const runtime::AsyncRoundRecord& last = outcome.result.final_eval();
     results[i].accuracy = *last.base.eval_accuracy;
     results[i].trace_hash = outcome.result.trace_hash;
     std::ofstream out(cell.path);
     if (!out) throw std::runtime_error("cannot write " + cell.path);
     out << outcome.to_json();
+    if (tracing) {
+      obs::set_enabled(false);
+      trace_files.push_back(trace_dir + "/cell" + std::to_string(i) +
+                            ".trace.json");
+      obs::save_chrome_trace(trace_files.back());
+    }
   };
+  const auto start = std::chrono::steady_clock::now();
   try {
     // jobs == 1 degrades ThreadPool to inline execution — the reference
     // ordering the bit-equality contract is stated against.
@@ -221,6 +256,21 @@ int main(int argc, char** argv) {
     pool.parallel_for(cells.size(), run_cell);
   } catch (const std::runtime_error& error) {
     die(error.what());
+  }
+  const double wall_seconds = std::chrono::duration<double>(
+      std::chrono::steady_clock::now() - start).count();
+  if (tracing) {
+    const std::string merged = trace_dir + "/merged.trace.json";
+    obs::MergeSummary summary;
+    try {
+      summary = obs::merge_chrome_traces(trace_files, merged);
+    } catch (const std::runtime_error& error) {
+      die(error.what());
+    }
+    if (!summary.stage_order_consistent)
+      die("merged traces violate the canonical stage order");
+    std::printf("merged %zu traces (%zu events) into %s\n", summary.files,
+                summary.events, merged.c_str());
   }
 
   // Assemble the accuracy surface in the fixed cell order. All FP
@@ -276,10 +326,12 @@ int main(int argc, char** argv) {
   surface << os.str();
 
   std::printf("wrote %zu cells to %s and the accuracy surface to %s "
-              "(%zu defense%s x %zu attack%s x %lld seed%s)\n",
+              "(%zu defense%s x %zu attack%s x %lld seed%s) in %.3f s wall, "
+              "%.0f cells/h\n",
               cells.size(), out_dir.c_str(), surface_path.c_str(),
               defenses.size(), defenses.size() == 1 ? "" : "s",
               attacks.size(), attacks.size() == 1 ? "" : "s",
-              static_cast<long long>(seeds), seeds == 1 ? "" : "s");
+              static_cast<long long>(seeds), seeds == 1 ? "" : "s",
+              wall_seconds, double(cells.size()) / wall_seconds * 3600.0);
   return 0;
 }

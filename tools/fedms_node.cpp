@@ -320,9 +320,15 @@ int run_inmem(const NodeCli& cli) {
   transport::InMemoryHub hub;
   if (cli.corrupt_rate > 0.0)
     hub.set_corrupt_rate(cli.corrupt_rate, cli.corrupt_seed);
-  const transport::TransportRunSummary summary =
-      transport::run_transport_experiment(cli.workload, cli.fed, hub,
-                                          cli.timeout_seconds);
+  transport::TransportRunSummary summary;
+  {
+    // Every node thread's filter shares this pool (parallel_for keeps
+    // its state per call). Scoped to the run, so --verify's simulator
+    // reference stays on the serial filter.
+    const FilterPool filter_pool(cli.filter_threads);
+    summary = transport::run_transport_experiment(
+        cli.workload, cli.fed, hub, cli.timeout_seconds);
+  }
   if (!cli.trace_dir.empty()) {
     // Node threads are joined inside run_transport_experiment, so the
     // registry is quiescent; every node shows up as a labeled thread row.
