@@ -242,7 +242,8 @@ cmake --build "$asan_build" -j "$jobs" \
            eventloop_test eventloop_churn_test fl_wire_encoding_test \
            tensor_gemm_test tensor_workspace_test \
            fl_aggregator_properties_test fl_determinism_test \
-           fl_sharded_filter_test fedms_node fedms_matrix
+           fl_sharded_filter_test fl_server_test engine_capability_test \
+           fedms_node fedms_matrix
 
 echo "== runtime + transport + kernel tests under ASan/UBSan =="
 # Death tests fork; ASan is fine with that but needs the default allocator
@@ -250,13 +251,16 @@ echo "== runtime + transport + kernel tests under ASan/UBSan =="
 # suite covers the whole defense zoo (adaptive estimation, fedgreed
 # selection, sharded pools) with every allocation checked; the determinism
 # and sharded-filter suites bounds-check the trimmed-mean lane kernel's
-# padded final lane group at every dimension they sweep.
+# padded final lane group at every dimension they sweep. The server and
+# engine-capability suites drive fl::ParameterServer's accept / aggregate
+# / broadcast (payloads moved in from uploads and out into broadcasts)
+# through the sync, async and transport engines.
 for t in runtime_event_queue_test runtime_fault_test runtime_async_test \
          transport_frame_test transport_inmem_test transport_socket_test \
          eventloop_test eventloop_churn_test fl_wire_encoding_test \
          tensor_gemm_test tensor_workspace_test \
          fl_aggregator_properties_test fl_determinism_test \
-         fl_sharded_filter_test; do
+         fl_sharded_filter_test fl_server_test engine_capability_test; do
   "$asan_build/tests/$t"
 done
 

@@ -65,12 +65,6 @@ FedMsRun::FedMsRun(FedMsConfig config, std::vector<LearnerPtr> learners)
   network_ = net::SimNetwork(seeds.make_rng("network"));
   network_.set_loss_rate(config_.network_loss_rate);
   participation_rng_ = seeds.make_rng("participation");
-  wire_spec_ = wire_encoding_spec(config_.wire_encoding);
-  if (!wire_spec_.is_f32()) {
-    wire_downlinks_.reserve(config_.servers);
-    for (std::size_t p = 0; p < config_.servers; ++p)
-      wire_downlinks_.emplace_back(wire_spec_);
-  }
 }
 
 void FedMsRun::set_round_callback(RoundCallback callback) {
@@ -168,37 +162,23 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
   {
     obs::Span span("sim", "aggregation", round);
     for (auto& server : servers_) {
-      std::vector<std::vector<float>> received;
       for (auto& m : network_.drain_inbox(net::server_id(server.index())))
-        received.push_back(std::move(m.payload));
-      server.aggregate_round(round, received);
+        server.accept(std::move(m));
+      server.aggregate(round);
     }
   }
 
   // ---- Stage 3: model dissemination + client-side Def() filter ----
   {
-  obs::Span span("sim", "dissemination", round);
-  std::vector<net::Message> broadcasts;
-  broadcasts.reserve(servers_.size() * learners_.size());
-  for (auto& server : servers_) {
-    for (std::size_t k = 0; k < learners_.size(); ++k) {
-      net::Message m{.from = net::server_id(server.index()),
-                     .to = net::client_id(k),
-                     .kind = net::MessageKind::kModelBroadcast,
-                     .round = round,
-                     .payload = server.disseminate(round, k)};
-      // An empty payload is a crashed/silent PS: nothing goes on the wire.
-      if (m.payload.empty()) continue;
-      // Encoded after the Byzantine tampering, per (PS, client) stream —
-      // exactly what the transport engine puts on the wire.
-      if (!wire_spec_.is_f32())
-        encode_payload(m, wire_downlinks_[server.index()].channel(m.to),
-                       m.payload, /*keep_bytes=*/false);
-      broadcasts.push_back(std::move(m));
-    }
-  }
-  record.broadcast_seconds = latency_.stage_seconds(broadcasts);
-  for (auto& m : broadcasts) network_.send(std::move(m));
+    obs::Span span("sim", "dissemination", round);
+    std::vector<net::Message> broadcasts;
+    broadcasts.reserve(servers_.size() * learners_.size());
+    for (auto& server : servers_)
+      for (std::size_t k = 0; k < learners_.size(); ++k)
+        if (auto m = server.broadcast(round, k))
+          broadcasts.push_back(std::move(*m));
+    record.broadcast_seconds = latency_.stage_seconds(broadcasts);
+    for (auto& m : broadcasts) network_.send(std::move(m));
   }
 
   {

@@ -25,7 +25,6 @@
 #include "fl/config.h"
 #include "fl/learner.h"
 #include "fl/server.h"
-#include "fl/wire_encoding.h"
 #include "net/latency.h"
 #include "net/sim_network.h"
 
@@ -114,11 +113,6 @@ class FedMsRun {
   net::LatencyModel latency_;
   core::Rng participation_rng_;
   std::vector<double> last_losses_;  // per-client, for highloss selection
-  // Negotiated wire encoding (config.wire_encoding != "f32"): the upload
-  // streams live in the client steps; the broadcast stream (p→k) lives in
-  // wire_downlinks_[p] keyed by the client id, as in the transport engine.
-  WireEncodingSpec wire_spec_;
-  std::vector<WireChannelBook> wire_downlinks_;  // per server
   core::ThreadPool pool_;                        // local-training fan-out
   RoundCallback callback_;
 };

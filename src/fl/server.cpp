@@ -1,7 +1,10 @@
 #include "fl/server.h"
 
+#include <utility>
+
 #include "core/contracts.h"
 #include "fl/aggregators.h"
+#include "fl/client_step.h"
 
 namespace fedms::fl {
 
@@ -62,6 +65,7 @@ void ParameterServer::reset_state() {
   aggregate_ = initial_model_;
   history_.clear();
   last_upload_count_ = 0;
+  accepted_.clear();
 }
 
 void ParameterServer::set_attack(byz::AttackPtr attack) {
@@ -80,6 +84,45 @@ std::vector<float> ParameterServer::disseminate(std::uint64_t round,
   context.history = &history_;
   context.initial_model = &initial_model_;
   return attack_->tamper(context, rng_);
+}
+
+bool ParameterServer::accept(net::Message upload) {
+  FEDMS_EXPECTS(upload.kind == net::MessageKind::kModelUpload);
+  finish_wire_payload(upload, uplinks_);
+  return accepted_.emplace(upload.from.index, std::move(upload.payload))
+      .second;
+}
+
+void ParameterServer::aggregate(std::uint64_t round) {
+  aggregate_round(round, ascending_models(accepted_));
+  accepted_.clear();
+}
+
+std::optional<net::Message> ParameterServer::broadcast(std::uint64_t round,
+                                                       std::size_t client,
+                                                       bool keep_encoded) {
+  net::Message m{.from = net::server_id(index_),
+                 .to = net::client_id(client),
+                 .kind = net::MessageKind::kModelBroadcast,
+                 .round = round,
+                 .payload = disseminate(round, client)};
+  // A silent PS sends nothing, and its stream does not advance (keyframes
+  // are per-frame flags, so a gap desynchronizes nothing). Encoding comes
+  // after the tampering: the wire carries what the attack produced.
+  if (m.payload.empty()) return std::nullopt;
+  WireChannel& channel = downlinks_.channel(m.to);
+  if (!channel.spec().is_f32())
+    encode_payload(m, channel, m.payload, keep_encoded);
+  return m;
+}
+
+void ParameterServer::set_wire_encoding(const WireEncodingSpec& spec) {
+  downlinks_ = WireChannelBook(spec);
+}
+
+void ParameterServer::set_client_encoding(std::size_t client,
+                                          const WireEncodingSpec& spec) {
+  (void)downlinks_.channel(net::client_id(client), spec);
 }
 
 std::vector<bool> byzantine_servers(const FedMsConfig& fed) {
@@ -107,6 +150,7 @@ ParameterServer make_parameter_server(const FedMsConfig& fed,
   if (fed.server_aggregator != "mean")
     server.set_aggregator(std::shared_ptr<const Aggregator>(
         make_aggregator(fed.server_aggregator)));
+  server.set_wire_encoding(wire_encoding_spec(fed.wire_encoding));
   server.set_initial_model(std::move(w0));
   return server;
 }

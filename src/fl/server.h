@@ -13,13 +13,17 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "byz/attack.h"
 #include "core/rng.h"
 #include "fl/aggregators.h"
 #include "fl/config.h"
+#include "fl/wire_encoding.h"
+#include "net/message.h"
 
 namespace fedms::fl {
 
@@ -51,6 +55,25 @@ class ParameterServer {
   // for a benign PS; the attack's output for a Byzantine one).
   std::vector<float> disseminate(std::uint64_t round, std::size_t client);
 
+  // The PS side of a round; every engine only schedules it, as it does
+  // fl::ClientStep. accept() moves one upload in (stateful wire payloads
+  // decoded per client stream) and returns false, keeping the first copy,
+  // on a duplicate sender. aggregate() is aggregate_round over the
+  // accepted models in ascending client order (float sums are
+  // order-dependent), then clears them. broadcast() is disseminate(round,
+  // client) encoded on the PS → client stream (keep_encoded also keeps
+  // the bytes a real transport frames), or nullopt for a silent PS.
+  bool accept(net::Message upload);
+  void aggregate(std::uint64_t round);
+  std::optional<net::Message> broadcast(std::uint64_t round,
+                                        std::size_t client,
+                                        bool keep_encoded = false);
+  // Broadcast encoding of every client (f32 unless set; resets every
+  // stream, so it comes first) and of one client (a transport peer's
+  // announce; takes effect only before that client's first broadcast).
+  void set_wire_encoding(const WireEncodingSpec& spec);
+  void set_client_encoding(std::size_t client, const WireEncodingSpec& spec);
+
   const std::vector<float>& honest_aggregate() const { return aggregate_; }
   // Honest aggregates of completed earlier rounds, oldest first, bounded by
   // history_limit.
@@ -70,7 +93,7 @@ class ParameterServer {
   Snapshot snapshot() const;
   void restore(const Snapshot& snapshot);
   // Wipes the mutable state back to "before round 0": aggregate = w₀,
-  // empty history — what a crashed PS has lost.
+  // empty history, no accepted uploads — what a crashed PS has lost.
   void reset_state();
 
   // Swaps the dissemination-edge behavior mid-run (scenario attack-mix
@@ -87,6 +110,9 @@ class ParameterServer {
   std::vector<float> aggregate_;
   std::vector<std::vector<float>> history_;
   std::size_t last_upload_count_ = 0;
+  std::map<std::size_t, ModelVector> accepted_;  // keyed by client
+  WireChannelBook uplinks_{WireEncodingSpec{}};    // keyed by client
+  WireChannelBook downlinks_{WireEncodingSpec{}};  // keyed by client
 };
 
 // ---- construction shared by every engine ----
@@ -97,8 +123,8 @@ class ParameterServer {
 std::vector<bool> byzantine_servers(const FedMsConfig& fed);
 
 // PS `index` of `fed`, holding w₀: fed.attack when byzantine_servers(fed)
-// marks it, its private ("attack", index) stream, and
-// fed.server_aggregator unless that is the plain mean.
+// marks it, its private ("attack", index) stream, fed.server_aggregator
+// unless that is the plain mean, and fed.wire_encoding for broadcasts.
 ParameterServer make_parameter_server(const FedMsConfig& fed,
                                       std::size_t index,
                                       std::vector<float> w0);

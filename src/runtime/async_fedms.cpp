@@ -63,10 +63,7 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   // would need per-link channel state threaded through the event queue's
   // retry/crash paths. CLI layers reject them with a one-line error
   // before this fires.
-  const fl::WireEncodingSpec wire_spec =
-      fl::wire_encoding_spec(config_.wire_encoding);
-  FEDMS_EXPECTS(!wire_spec.stateful());
-  if (!wire_spec.is_f32()) wire_.emplace(wire_spec);
+  FEDMS_EXPECTS(!fl::wire_encoding_spec(config_.wire_encoding).stateful());
   // Uniform network loss is expressed as FaultPlan::drop_rate here.
   FEDMS_EXPECTS(config_.network_loss_rate == 0.0);
   for (const ServerCrash& crash : options_.faults.crashes)
@@ -107,7 +104,7 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   for (ClientState& client : clients_) client.last_feasible = w0;
   round_losses_.assign(config_.clients, 0.0);
   client_active_.assign(config_.clients, 1);
-  ps_was_crashed_.assign(config_.servers, 0);
+  ps_crashed_.assign(config_.servers, 0);
   ps_snapshots_.resize(config_.servers);
 }
 
@@ -125,11 +122,6 @@ void AsyncFedMsRun::trace(std::uint64_t round, const std::string& event,
 void AsyncFedMsRun::trace_node(std::uint64_t round, const std::string& event,
                                const net::NodeId& node) {
   trace(round, event, node, node);
-}
-
-void AsyncFedMsRun::encode_for_wire(net::Message& message) {
-  if (wire_)
-    fl::encode_payload(message, *wire_, message.payload, /*keep_bytes=*/false);
 }
 
 void AsyncFedMsRun::send(net::Message message, std::uint64_t round,
@@ -198,20 +190,15 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
                          .round = round};
     ++record_->retry_requests;
     send(std::move(request), round, [this, round, k, s](net::Message) {
-      ServerState& state = server_states_[s];
-      if (state.crashed || !state.aggregated) {
+      if (ps_crashed_[s] || !ps_aggregated_[s]) {
         trace_node(round, "retry-unanswered", net::server_id(s));
         return;
       }
-      // Byzantine PSs tamper retries too (fresh attack randomness).
-      net::Message response{.from = net::server_id(s),
-                            .to = net::client_id(k),
-                            .kind = net::MessageKind::kModelBroadcast,
-                            .round = round,
-                            .payload = servers_[s].disseminate(round, k)};
-      if (response.payload.empty()) return;  // crash-attack PS stays silent
-      encode_for_wire(response);
-      send(std::move(response), round, [this, round, k, s](net::Message m) {
+      // Byzantine PSs tamper retries too (fresh attack randomness); a
+      // crash-attack PS stays silent.
+      std::optional<net::Message> response = servers_[s].broadcast(round, k);
+      if (!response) return;
+      send(std::move(*response), round, [this, round, k, s](net::Message m) {
         ClientState& c = clients_[k];
         if (c.done) {
           ++record_->messages_late;
@@ -281,24 +268,23 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
     client.retries_used = 0;
     client.done = false;
   }
-  server_states_.assign(config_.servers, ServerState{});
+  ps_aggregated_.assign(config_.servers, 0);
   for (std::size_t s = 0; s < config_.servers; ++s) {
     const bool crashed = faults_.server_crashed(s, round);
-    server_states_[s].crashed = crashed;
     if (crashed) ++record.crashed_servers;
     // Crash/recovery state handoff: going down snapshots the PS and wipes
     // its live state back to w₀ (what a fresh replacement would hold);
     // coming back restores the snapshot verbatim — uploads it aggregated
     // before crashing are neither lost nor double-counted.
-    if (crashed && !ps_was_crashed_[s]) {
+    if (crashed && !ps_crashed_[s]) {
       ps_snapshots_[s] = servers_[s].snapshot();
       servers_[s].reset_state();
-    } else if (!crashed && ps_was_crashed_[s]) {
+    } else if (!crashed && ps_crashed_[s]) {
       servers_[s].restore(ps_snapshots_[s]);
       ps_snapshots_[s] = fl::ParameterServer::Snapshot{};
       trace_node(round, "recovered", net::server_id(s));
     }
-    ps_was_crashed_[s] = crashed ? 1 : 0;
+    ps_crashed_[s] = crashed ? 1 : 0;
   }
   // Membership for this round; inactive clients neither train nor filter.
   active_count_ = 0;
@@ -350,15 +336,14 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
       for (net::Message& m : steps_[k].uploads(round)) {
         const std::size_t s = m.to.index;
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
-          ServerState& state = server_states_[s];
-          if (state.crashed) return;  // wasted upload
-          if (state.aggregated) {
+          if (ps_crashed_[s]) return;  // wasted upload
+          if (ps_aggregated_[s]) {
             ++record_->messages_late;
             trace(round, "late-upload", net::client_id(k),
                   net::server_id(s));
             return;
           }
-          if (!state.received.emplace(k, std::move(msg.payload)).second)
+          if (!servers_[s].accept(std::move(msg)))
             ++record_->messages_duplicated;
         });
       }
@@ -374,33 +359,23 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
   // window and disseminate to every client.
   for (std::size_t s = 0; s < config_.servers; ++s) {
     queue_.schedule_at(t_aggregate, [this, s, round] {
-      ServerState& state = server_states_[s];
-      if (state.crashed) {
+      if (ps_crashed_[s]) {
         trace_node(round, "crashed", net::server_id(s));
         return;
       }
       {
         obs::Span span("async", "aggregation", round, "server",
                        static_cast<std::int64_t>(s));
-        std::vector<fl::ModelVector> received;
-        received.reserve(state.received.size());
-        for (auto& [client, model] : state.received)
-          received.push_back(std::move(model));
-        servers_[s].aggregate_round(round, received);
-        state.aggregated = true;
+        servers_[s].aggregate(round);
+        ps_aggregated_[s] = 1;
       }
       obs::Span span("async", "dissemination", round, "server",
                      static_cast<std::int64_t>(s));
       for (std::size_t k = 0; k < config_.clients; ++k) {
         if (!client_active_[k]) continue;  // absent clients get nothing
-        net::Message m{.from = net::server_id(s),
-                       .to = net::client_id(k),
-                       .kind = net::MessageKind::kModelBroadcast,
-                       .round = round,
-                       .payload = servers_[s].disseminate(round, k)};
-        if (m.payload.empty()) continue;  // crash-attack PS stays silent
-        encode_for_wire(m);
-        send(std::move(m), round, [this, round, k, s](net::Message msg) {
+        std::optional<net::Message> m = servers_[s].broadcast(round, k);
+        if (!m) continue;  // crash-attack PS stays silent
+        send(std::move(*m), round, [this, round, k, s](net::Message msg) {
           ClientState& client = clients_[k];
           if (client.done) {
             ++record_->messages_late;

@@ -28,9 +28,10 @@
 // hash in the result is the regression handle for that property.
 //
 // Each client's side of the round — training, Byzantine forgery, DP,
-// upload encoding, Def() — is the shared fl::ClientStep; this engine only
-// schedules it. Wire encodings: the stateless fp16/int8 specs apply to
-// every upload and per-recipient broadcast, as in the synchronous loop.
+// upload encoding, Def() — is the shared fl::ClientStep, and each PS's
+// side is fl::ParameterServer's accept/aggregate/broadcast; this engine
+// only schedules them. Wire encodings: the stateless fp16/int8 specs apply
+// to every upload and per-recipient broadcast, as in the synchronous loop.
 //
 // Unsupported (sync-loop only, rejected at construction): partial
 // participation, stateful wire encodings (delta, top-k), and
@@ -185,20 +186,12 @@ class AsyncFedMsRun {
     bool done = false;
     std::vector<float> last_feasible;  // w0 until a filter succeeds
   };
-  struct ServerState {
-    std::map<std::size_t, fl::ModelVector> received;  // keyed by client
-    bool aggregated = false;
-    bool crashed = false;
-  };
 
   void execute_round(std::uint64_t round, AsyncRunResult& result);
   // Routes one message through the fault injector + latency model and
   // schedules its delivery event(s). `deliver` runs per arriving copy.
   void send(net::Message message, std::uint64_t round,
             std::function<void(net::Message)> deliver);
-  // Applies the run's stateless wire encoding to a broadcast (no-op for
-  // f32).
-  void encode_for_wire(net::Message& message);
   void client_filter_deadline(std::size_t k, std::uint64_t round);
   void finish_client(std::size_t k, std::uint64_t round);
   void trace(std::uint64_t round, const std::string& event,
@@ -214,7 +207,6 @@ class AsyncFedMsRun {
   fl::AggregatorPtr filter_;
   std::vector<fl::ClientStep> steps_;  // one per learner
   std::size_t quorum_ = 1;
-  std::optional<fl::WireChannel> wire_;  // broadcasts; unset = f32
   net::LatencyModel latency_;
   EventQueue queue_;
   FaultInjector faults_;
@@ -225,12 +217,12 @@ class AsyncFedMsRun {
 
   // Crash/recovery handoff: the state a PS held when it went down, put
   // back verbatim when a ServerRecovery brings it up again.
-  std::vector<char> ps_was_crashed_;
+  std::vector<char> ps_crashed_;  // per PS, in the current round
   std::vector<fl::ParameterServer::Snapshot> ps_snapshots_;
 
   // Per-round working state.
   std::vector<ClientState> clients_;
-  std::vector<ServerState> server_states_;
+  std::vector<char> ps_aggregated_;
   std::vector<char> client_active_;  // membership at the current round
   std::size_t active_count_ = 0;
   std::vector<double> round_losses_;

@@ -1,5 +1,6 @@
 #include "transport/node_runner.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -48,14 +49,12 @@ void write_links(std::ostringstream& out, const char* tag,
 }
 
 // Receives round `round`'s frames until `syncs` round-sync frames have
-// arrived, keeping each `expected` model frame in `models` by sender
-// index (stateful payloads decoded through `channels` when non-null).
-// Anything else — a timeout, another round, another kind — is a
-// protocol error.
+// arrived, handing each `expected` model frame to `on_model`. Anything
+// else — a timeout, another round, another kind — is a protocol error.
+template <typename OnModel>
 void collect_round(Transport& transport, std::uint64_t round,
                    std::size_t syncs, net::MessageKind expected,
-                   double timeout_seconds, fl::WireChannelBook* channels,
-                   std::map<std::size_t, fl::ModelVector>& models) {
+                   double timeout_seconds, OnModel&& on_model) {
   const net::NodeId self = transport.self();
   for (std::size_t seen = 0; seen < syncs;) {
     auto m = transport.receive(timeout_seconds);
@@ -69,13 +68,25 @@ void collect_round(Transport& transport, std::uint64_t round,
     if (m->kind == net::MessageKind::kRoundSync) {
       ++seen;
     } else if (m->kind == expected) {
-      if (channels) fl::finish_wire_payload(*m, *channels);
-      models.emplace(m->from.index, std::move(m->payload));
+      on_model(std::move(*m));
     } else {
       protocol_error(self, std::string("unexpected ") +
                                net::to_string(m->kind) + " frame");
     }
   }
+}
+
+// Mean of `field` over the evaluating clients — the first eval_clients,
+// all when 0 — in ascending order, as fl::evaluate_round sums.
+double mean_over_evaluated(const TransportRunSummary& summary,
+                           double NodeReport::*field) {
+  FEDMS_EXPECTS(!summary.clients.empty());
+  const std::size_t all = summary.clients.size();
+  const std::size_t count =
+      summary.eval_clients == 0 ? all : std::min(summary.eval_clients, all);
+  double sum = 0.0;
+  for (std::size_t k = 0; k < count; ++k) sum += summary.clients[k].*field;
+  return sum / double(count);
 }
 
 }  // namespace
@@ -102,7 +113,6 @@ void check_transport_supported(const fl::FedMsConfig& fed) {
          "global loss state; rerun with --participation-strategy uniform)");
   reject(fed.network_loss_rate > 0.0,
          "simulated link loss (use transport corruption injection)");
-  reject(fed.eval_clients != 0, "eval_clients subsets");
 }
 
 std::string to_report_text(const NodeReport& report) {
@@ -212,9 +222,8 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
   // Broadcasts arrive in the encoding our hello announced; stateful
   // payloads are materialized per source PS stream. (Uploads are encoded
   // per target PS stream by the step.)
-  const fl::WireEncodingSpec wire_spec =
-      fl::wire_encoding_spec(fed.wire_encoding);
-  fl::WireChannelBook broadcast_channels(wire_spec);  // keyed by source PS
+  fl::WireChannelBook broadcast_channels(
+      fl::wire_encoding_spec(fed.wire_encoding));  // keyed by source PS
 
   obs::set_thread_label("client" + std::to_string(k));
 
@@ -262,8 +271,10 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
                      static_cast<std::int64_t>(k));
       collect_round(transport, round, fed.servers,
                     net::MessageKind::kModelBroadcast, timeout_seconds,
-                    wire_spec.is_f32() ? nullptr : &broadcast_channels,
-                    candidates);
+                    [&](net::Message m) {
+                      fl::finish_wire_payload(m, broadcast_channels);
+                      candidates.emplace(m.from.index, std::move(m.payload));
+                    });
     }
 
     // Def() over candidates in ascending server order (the simulator's
@@ -275,7 +286,9 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
       step.install(step.filter(fl::ascending_models(candidates)));
     }
 
-    if (fl::eval_due(fed, round)) {
+    // Only the first eval_clients clients evaluate, as in evaluate_round.
+    if (fl::eval_due(fed, round) &&
+        (fed.eval_clients == 0 || k < fed.eval_clients)) {
       const fl::LearnerEval eval = learner->evaluate();
       report.final_accuracy = eval.accuracy;
       report.final_eval_loss = eval.loss;
@@ -301,15 +314,6 @@ NodeReport run_server_node(Transport& transport,
   fl::ParameterServer server =
       fl::make_parameter_server(fed, p, fl::initial_model(workload, fed));
 
-  // Upload decode is self-describing per frame; one stream per client so
-  // stateful references track each sender. Broadcast encode uses whatever
-  // encoding each client's hello announced (queried per round — by the
-  // dissemination stage every client has identified itself).
-  const fl::WireEncodingSpec wire_spec =
-      fl::wire_encoding_spec(fed.wire_encoding);
-  fl::WireChannelBook upload_channels(wire_spec);     // keyed by client
-  fl::WireChannelBook broadcast_channels(wire_spec);  // keyed by client
-
   obs::set_thread_label("server" + std::to_string(p));
 
   NodeReport report;
@@ -321,43 +325,29 @@ NodeReport run_server_node(Transport& transport,
     {
       obs::Span span("node", "aggregation", round, "server",
                      static_cast<std::int64_t>(p));
-      std::map<std::size_t, fl::ModelVector> uploads;
       collect_round(transport, round, fed.clients,
                     net::MessageKind::kModelUpload, timeout_seconds,
-                    &upload_channels, uploads);
-      // Mean in ascending client order — float sums are order-dependent
-      // and this is the simulator's inbox order.
-      const std::vector<fl::ModelVector> received =
-          fl::ascending_models(uploads);
-      server.aggregate_round(round, received);
+                    [&](net::Message m) { server.accept(std::move(m)); });
+      server.aggregate(round);
+    }
+    // Broadcasts go out in the encoding each client's hello announced (f32
+    // when unintelligible); every client has identified itself once its
+    // round-0 sync arrived.
+    for (std::size_t k = 0; round == 0 && k < fed.clients; ++k) {
+      fl::WireEncodingSpec spec;
+      const std::string announced = transport.peer_encoding(net::client_id(k));
+      if (!fl::parse_wire_encoding(announced, &spec).empty()) spec = {};
+      server.set_client_encoding(k, spec);
     }
 
-    // ---- Dissemination stage. disseminate() is called for every client
-    // in ascending order even when nothing is sent (the attack's RNG
-    // stream advances per call in the simulator). ----
+    // ---- Dissemination stage. broadcast() runs for every client in
+    // ascending order even when nothing is sent (the attack's RNG stream
+    // advances per call in the simulator). ----
     obs::Span span("node", "dissemination", round, "server",
                    static_cast<std::int64_t>(p));
-    for (std::size_t k = 0; k < fed.clients; ++k) {
-      net::Message m{.from = report.self,
-                     .to = net::client_id(k),
-                     .kind = net::MessageKind::kModelBroadcast,
-                     .round = round,
-                     .payload = server.disseminate(round, k)};
-      // Empty payload = crashed/silent PS: nothing goes on the wire (the
-      // client's wire stream does not advance either — keyframes are
-      // per-frame flags, so a gap desynchronizes nothing).
-      if (m.payload.empty()) continue;
-      const std::string announced = transport.peer_encoding(m.to);
-      fl::WireEncodingSpec spec;
-      if (!fl::parse_wire_encoding(announced, &spec).empty())
-        spec = fl::WireEncodingSpec{};  // unintelligible announce -> f32
-      // Encoded after any Byzantine tampering: the wire carries what the
-      // attack produced, quantized the way this client asked for.
-      if (!spec.is_f32())
-        fl::encode_payload(m, broadcast_channels.channel(m.to, spec),
-                           m.payload, /*keep_bytes=*/true);
-      transport.send(std::move(m));
-    }
+    for (std::size_t k = 0; k < fed.clients; ++k)
+      if (auto m = server.broadcast(round, k, /*keep_encoded=*/true))
+        transport.send(std::move(*m));
     for (std::size_t k = 0; k < fed.clients; ++k)
       transport.send(net::Message{.from = report.self,
                                   .to = net::client_id(k),
@@ -371,17 +361,11 @@ NodeReport run_server_node(Transport& transport,
 }
 
 double TransportRunSummary::mean_accuracy() const {
-  FEDMS_EXPECTS(!clients.empty());
-  double sum = 0.0;
-  for (const NodeReport& client : clients) sum += client.final_accuracy;
-  return sum / double(clients.size());
+  return mean_over_evaluated(*this, &NodeReport::final_accuracy);
 }
 
 double TransportRunSummary::mean_eval_loss() const {
-  FEDMS_EXPECTS(!clients.empty());
-  double sum = 0.0;
-  for (const NodeReport& client : clients) sum += client.final_eval_loss;
-  return sum / double(clients.size());
+  return mean_over_evaluated(*this, &NodeReport::final_eval_loss);
 }
 
 TransportRunSummary::DataTotals TransportRunSummary::data_totals() const {
@@ -428,6 +412,7 @@ TransportRunSummary run_transport_experiment(
   TransportRunSummary summary;
   summary.clients.resize(fed.clients);
   summary.servers.resize(fed.servers);
+  summary.eval_clients = fed.eval_clients;
   std::vector<std::exception_ptr> errors(nodes);
   std::vector<std::thread> threads;
   threads.reserve(nodes);

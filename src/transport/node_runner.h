@@ -2,8 +2,9 @@
 // driven over a Transport, producing bit-identical results to the
 // round-synchronous fl::FedMsRun for the same seed and config. A client
 // node schedules the shared fl::ClientStep (training, Byzantine forgery,
-// DP, upload encoding, Def()); a PS node is fl::make_parameter_server's
-// PS. What is left here is round-sync framing and per-peer encodings.
+// DP, upload encoding, Def()); a PS node schedules fl::ParameterServer's
+// accept / aggregate / broadcast. What is left here is round-sync framing
+// and the clients' announced broadcast encodings.
 //
 // Determinism contract. Every stochastic decision in FedMsRun derives
 // from the root seed via named core::SeedSequence streams, and every
@@ -11,10 +12,8 @@
 // "client-sampler"/k, ...). A node process therefore re-derives exactly
 // its own streams and nothing else. The remaining ordering hazards are
 // pinned explicitly:
-//   * PS aggregation input order — the simulator drains its inbox in
-//     network send order, which is ascending client index; the engine
-//     keys received uploads by client index and feeds them in ascending
-//     order (float sums are order-dependent).
+//   * PS aggregation input order — ascending client index, pinned by
+//     fl::ParameterServer::aggregate in every engine.
 //   * Client filter candidate order — ascending server index, matching
 //     the simulator's broadcast send order.
 //   * Evaluation — NnLearner::evaluate() is deterministic (no RNG), so
@@ -50,7 +49,7 @@ namespace fedms::transport {
 
 // Throws std::runtime_error when (fed) uses a feature the transport
 // engine does not replicate (loss-ranked participation, simulated link
-// loss, eval subsets).
+// loss).
 void check_transport_supported(const fl::FedMsConfig& fed);
 
 // Replays the simulator's uniform participation draw for one round and
@@ -66,7 +65,8 @@ bool client_participates(const fl::FedMsConfig& fed, core::Rng& rng,
 struct NodeReport {
   net::NodeId self;
   std::uint64_t rounds = 0;
-  // Last evaluation at the simulator's cadence. Clients only; servers
+  // Last evaluation at the simulator's cadence. Evaluating clients only
+  // (the first fed.eval_clients, all when 0); the rest and servers
   // report 0/0.
   double final_accuracy = 0.0;
   double final_eval_loss = 0.0;
@@ -102,9 +102,12 @@ NodeReport run_server_node(Transport& transport,
 struct TransportRunSummary {
   std::vector<NodeReport> clients;  // index k, ascending
   std::vector<NodeReport> servers;  // index p, ascending
+  // The run's fed.eval_clients: only the first eval_clients clients
+  // evaluate (all when 0).
+  std::size_t eval_clients = 0;
 
-  // Mean over clients in ascending index order — the same summation
-  // order as the simulator's RoundRecord::eval_accuracy.
+  // Mean over the evaluated clients in ascending index order — the same
+  // clients and summation order as fl::evaluate_round.
   double mean_accuracy() const;
   double mean_eval_loss() const;
 

@@ -102,7 +102,36 @@ const std::vector<Row>& rows() {
        [](fl::FedMsConfig& fed) { fed.network_loss_rate = 0.1; },
        gap("Precondition"), gap("simulated link loss")},
       {"eval_clients", [](fl::FedMsConfig& fed) { fed.eval_clients = 2; },
-       kRuns, gap("eval_clients")},
+       kRuns, kRuns},
+      // PS-side features: the robust PS rules, a silent PS, an attack that
+      // reads the PS's own history, and random Byzantine placement.
+      {"server_median",
+       [](fl::FedMsConfig& fed) { fed.server_aggregator = "median"; }, kRuns,
+       kRuns},
+      {"server_trmean_byzantine_client",
+       [](fl::FedMsConfig& fed) {
+         fed.server_aggregator = "trmean:0.25";
+         fed.byzantine_clients = 1;
+         fed.client_attack = "signflip";
+       },
+       kRuns, kRuns},
+      // P = 4: with the fixture's P = 3 the silent PS leaves P' = 2 <= 2B,
+      // where async falls back to the last feasible model and sync filters.
+      {"crash_attack",
+       [](fl::FedMsConfig& fed) {
+         fed.attack = "crash";
+         fed.servers = 4;
+         fed.client_filter = "trmean:0.25";
+       },
+       kRuns, kRuns},
+      {"safeguard", [](fl::FedMsConfig& fed) { fed.attack = "safeguard"; },
+       kRuns, kRuns},
+      {"random_placement_inconsistent",
+       [](fl::FedMsConfig& fed) {
+         fed.byzantine_placement = "random";
+         fed.attack = "inconsistent";
+       },
+       kRuns, kRuns},
   };
   return table;
 }

@@ -67,7 +67,7 @@ TEST(Multi, UniformMarginals) {
   for (const int c : counts) EXPECT_NEAR(double(c) / n, 0.4, 0.02);
 }
 
-TEST(Factory, ParsesSpecs) {
+TEST(UploadFactory, ParsesSpecs) {
   EXPECT_EQ(make_upload_strategy("sparse")->name(), "sparse");
   EXPECT_EQ(make_upload_strategy("full")->name(), "full");
   EXPECT_EQ(make_upload_strategy("multi:3")->name(), "multi:3");

@@ -434,6 +434,7 @@ int run_launch(NodeCli cli) {
   if (failed) return 1;
 
   transport::TransportRunSummary summary;
+  summary.eval_clients = cli.fed.eval_clients;
   for (std::size_t k = 0; k < cli.fed.clients; ++k)
     summary.clients.push_back(read_report(cli, net::client_id(k)));
   for (std::size_t p = 0; p < cli.fed.servers; ++p)
