@@ -7,9 +7,12 @@
 //   3. build learners manually (custom model width and LR schedule);
 //   4. run Fed-MS under an active attack;
 //   5. checkpoint the final global model and export telemetry as JSON.
+//
+// Every file goes to a fresh scratch directory that is removed on exit.
 
 #include <cstdio>
 
+#include "core/scratch_dir.h"
 #include "data/csv.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
@@ -21,9 +24,10 @@
 
 int main() {
   using namespace fedms;
-  const std::string csv_path = "/tmp/fedms_custom_data.csv";
-  const std::string ckpt_path = "/tmp/fedms_custom_model.ckpt";
-  const std::string json_path = "/tmp/fedms_custom_run.json";
+  const core::ScratchDir scratch;
+  const std::string csv_path = scratch.path() + "/data.csv";
+  const std::string ckpt_path = scratch.path() + "/model.ckpt";
+  const std::string json_path = scratch.path() + "/run.json";
 
   // --- 1. a "user dataset" on disk ---
   {
@@ -91,7 +95,8 @@ int main() {
   metrics::save_run_json(json_path, fed, result);
   std::printf(
       "\nfinal accuracy %.1f%% under a Byzantine PS (Random attack)\n"
-      "model checkpoint: %s\nrun telemetry:    %s\n",
+      "model checkpoint: %s\nrun telemetry:    %s\n"
+      "(a scratch directory, removed on exit)\n",
       100.0 * *result.final_eval().eval_accuracy, ckpt_path.c_str(),
       json_path.c_str());
   return 0;

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full verification gate: a fresh RelWithDebInfo build + the entire ctest
-# suite, then an ASan/UBSan build (-DFEDMS_SANITIZE=ON) exercising the
-# event-driven runtime tests (the subsystem with the most pointer-juggling
-# callbacks) plus the GEMM/workspace kernel tests (raw-pointer pack buffers
-# and arena scratch), then a TSan build exercising the obs layer and the
+# suite, then a Release build (the -O3 flags perfbench builds with) with
+# warnings as errors, then an ASan/UBSan build (-DFEDMS_SANITIZE=ON)
+# exercising the event-driven runtime tests (the subsystem with the most
+# pointer-juggling callbacks) plus the GEMM/workspace and depthwise/layer
+# kernel tests (raw-pointer pack buffers, arena scratch and row-pointer
+# border arithmetic), then a TSan build exercising the obs layer and the
 # ThreadPool conv path (the two places worker threads write shared state),
 # then the benchmark stage: a short perfbench run of every workload (each
 # exits nonzero on a failed correctness check), perfbench's statistics
@@ -17,6 +19,7 @@ set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="$repo/build-check"
+release_build="$repo/build-release"
 asan_build="$repo/build-asan"
 tsan_build="$repo/build-tsan"
 jobs="$(nproc 2>/dev/null || echo 4)"
@@ -104,7 +107,7 @@ fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
 if [[ $fast -eq 0 ]]; then
-  rm -rf "$build" "$asan_build" "$tsan_build"
+  rm -rf "$build" "$release_build" "$asan_build" "$tsan_build"
 fi
 
 echo "== configure + build (RelWithDebInfo) =="
@@ -233,6 +236,14 @@ for rel in files_a:
 print(f"grid bit-equality OK under upward ({len(files_a)} files)")
 PY
 
+echo "== configure + build (Release, warnings as errors) =="
+# -O3 runs passes (and warnings, such as GCC 12's -Wrestrict) that the
+# RelWithDebInfo build above never reaches; perfbench builds with these
+# flags.
+cmake -B "$release_build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+  -DFEDMS_WERROR=ON
+cmake --build "$release_build" -j "$jobs"
+
 echo "== configure + build (ASan + UBSan) =="
 cmake -B "$asan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DFEDMS_SANITIZE=ON
@@ -240,7 +251,8 @@ cmake --build "$asan_build" -j "$jobs" \
   --target runtime_event_queue_test runtime_fault_test runtime_async_test \
            transport_frame_test transport_inmem_test transport_socket_test \
            eventloop_test eventloop_churn_test fl_wire_encoding_test \
-           tensor_gemm_test tensor_workspace_test \
+           tensor_gemm_test tensor_workspace_test tensor_conv_test \
+           nn_layers_test nn_gradcheck_test \
            fl_aggregator_properties_test fl_determinism_test \
            fl_sharded_filter_test fl_server_test engine_capability_test \
            fedms_node fedms_matrix
@@ -254,11 +266,14 @@ echo "== runtime + transport + kernel tests under ASan/UBSan =="
 # padded final lane group at every dimension they sweep. The server and
 # engine-capability suites drive fl::ParameterServer's accept / aggregate
 # / broadcast (payloads moved in from uploads and out into broadcasts)
-# through the sync, async and transport engines.
+# through the sync, async and transport engines. The conv, layer and
+# gradcheck suites bounds-check the depthwise kernels' row pointers at
+# every border, stride and kernel size they sweep.
 for t in runtime_event_queue_test runtime_fault_test runtime_async_test \
          transport_frame_test transport_inmem_test transport_socket_test \
          eventloop_test eventloop_churn_test fl_wire_encoding_test \
-         tensor_gemm_test tensor_workspace_test \
+         tensor_gemm_test tensor_workspace_test tensor_conv_test \
+         nn_layers_test nn_gradcheck_test \
          fl_aggregator_properties_test fl_determinism_test \
          fl_sharded_filter_test fl_server_test engine_capability_test; do
   "$asan_build/tests/$t"

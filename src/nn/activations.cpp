@@ -18,8 +18,9 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor g = grad_output;
   float* pg = g.data();
   const float* px = cached_input_.data();
+  // A select, not a branch, so the loop vectorizes; NaN inputs pass.
   for (std::size_t i = 0; i < g.numel(); ++i)
-    if (px[i] <= 0.0f) pg[i] = 0.0f;
+    pg[i] = px[i] <= 0.0f ? 0.0f : pg[i];
   return g;
 }
 
@@ -37,8 +38,10 @@ Tensor ReLU6::backward(const Tensor& grad_output) {
   Tensor g = grad_output;
   float* pg = g.data();
   const float* px = cached_input_.data();
-  for (std::size_t i = 0; i < g.numel(); ++i)
-    if (px[i] <= 0.0f || px[i] >= 6.0f) pg[i] = 0.0f;
+  for (std::size_t i = 0; i < g.numel(); ++i) {
+    const bool pass = !(px[i] <= 0.0f) & !(px[i] >= 6.0f);
+    pg[i] = pass ? pg[i] : 0.0f;
+  }
   return g;
 }
 

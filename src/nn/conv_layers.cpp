@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "tensor/ops.h"
-
 namespace fedms::nn {
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -59,11 +57,11 @@ Tensor DepthwiseConv2d::forward(const Tensor& input, bool /*training*/) {
 
 Tensor DepthwiseConv2d::backward(const Tensor& grad_output) {
   FEDMS_EXPECTS(cached_input_.numel() > 0);
-  auto grads = tensor::depthwise_conv2d_backward(cached_input_, weight_,
-                                                 grad_output, spec_);
-  tensor::add_inplace(grad_weight_, grads.grad_weight);
-  if (with_bias_) tensor::add_inplace(grad_bias_, grads.grad_bias);
-  return std::move(grads.grad_input);
+  // Accumulating into the +0 buffers zero_grads leaves is bit-identical to
+  // adding fresh gradient tensors, without allocating them.
+  return tensor::depthwise_conv2d_backward_acc(cached_input_, weight_,
+                                               grad_output, spec_,
+                                               grad_weight_, grad_bias_);
 }
 
 void DepthwiseConv2d::collect_params(std::vector<ParamRef>& out) {

@@ -20,7 +20,11 @@ using core::json_escape;
 namespace {
 
 std::string node_text(bool is_server, std::size_t index) {
-  return (is_server ? "s" : "c") + std::to_string(index);
+  // Appending to a std::string, not `const char* + std::string`, which
+  // sets off GCC 12's false-positive -Wrestrict in Release builds.
+  std::string text(1, is_server ? 's' : 'c');
+  text += std::to_string(index);
+  return text;
 }
 
 void parse_node(const std::string& text, bool* is_server,

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "core/rounding.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv_layers.h"
@@ -96,6 +99,114 @@ TEST(ReLUs, BackwardMasks) {
   EXPECT_EQ(g6[0], 0.0f);  // below 0
   EXPECT_EQ(g6[1], 1.0f);  // in the linear region
   EXPECT_EQ(g6[2], 0.0f);  // above 6
+}
+
+// The ReLU6 backward mask before it became a select: the oracle the
+// branch-free loop must match bit for bit.
+Tensor branchy_relu6_backward(const Tensor& input, const Tensor& grad) {
+  Tensor g = grad;
+  for (std::size_t i = 0; i < g.numel(); ++i)
+    if (input[i] <= 0.0f || input[i] >= 6.0f) g[i] = 0.0f;
+  return g;
+}
+
+Tensor branchy_relu_backward(const Tensor& input, const Tensor& grad) {
+  Tensor g = grad;
+  for (std::size_t i = 0; i < g.numel(); ++i)
+    if (input[i] <= 0.0f) g[i] = 0.0f;
+  return g;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(ReLUs, BackwardZeroesAtTheEdgesAndPassesNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float below_six = std::nextafter(6.0f, 0.0f);
+  const Tensor x = Tensor::from_list(
+      {-0.0f, 0.0f, 6.0f, nan, below_six, 1e-30f, -inf, inf});
+  const Tensor grad = Tensor::from_list(
+      {2.0f, 2.0f, 2.0f, 2.0f, 2.0f, 2.0f, 2.0f, 2.0f});
+
+  ReLU relu;
+  relu.forward(x, true);
+  const Tensor g = relu.backward(grad);
+  EXPECT_EQ(g[0], 0.0f);  // -0
+  EXPECT_EQ(g[1], 0.0f);  // +0
+  EXPECT_EQ(g[2], 2.0f);
+  EXPECT_EQ(g[3], 2.0f);  // NaN input keeps its gradient
+  EXPECT_EQ(g[5], 2.0f);
+  EXPECT_EQ(g[6], 0.0f);
+  EXPECT_EQ(g[7], 2.0f);
+
+  ReLU6 relu6;
+  relu6.forward(x, true);
+  const Tensor g6 = relu6.backward(grad);
+  EXPECT_EQ(g6[0], 0.0f);  // -0
+  EXPECT_EQ(g6[1], 0.0f);  // +0
+  EXPECT_EQ(g6[2], 0.0f);  // exactly 6
+  EXPECT_EQ(g6[3], 2.0f);  // NaN input keeps its gradient
+  EXPECT_EQ(g6[4], 2.0f);  // just below 6
+  EXPECT_EQ(g6[5], 2.0f);
+  EXPECT_EQ(g6[6], 0.0f);
+  EXPECT_EQ(g6[7], 0.0f);
+}
+
+TEST(ReLUs, BackwardBitIdenticalToTheBranchyLoop) {
+  core::Rng rng(21);
+  Tensor x = Tensor::rand_uniform({4, 3, 5, 7}, rng, -3.0f, 9.0f);
+  Tensor grad = Tensor::randn(x.shape(), rng);
+  const float specials[] = {0.0f, -0.0f, 6.0f, -6.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()};
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    if (i % 7 == 0) x[i] = specials[(i / 7) % 6];
+    if (i % 7 == 3) grad[i] = specials[(i / 7) % 6];
+  }
+  ReLU relu;
+  relu.forward(x, true);
+  EXPECT_TRUE(same_bits(relu.backward(grad), branchy_relu_backward(x, grad)));
+  ReLU6 relu6;
+  relu6.forward(x, true);
+  EXPECT_TRUE(
+      same_bits(relu6.backward(grad), branchy_relu6_backward(x, grad)));
+}
+
+// nn::DepthwiseConv2d accumulates its parameter gradients straight into
+// the buffers zero_grads left at +0; that must equal the reference
+// gradients added onto +0, bit for bit, under every rounding mode.
+TEST(DepthwiseConv2dLayer, BackwardBitIdenticalToReferencePlusAdd) {
+  for (const std::size_t stride : {1u, 2u}) {
+    core::Rng rng(22);
+    DepthwiseConv2d layer(4, 3, stride, 1, rng, /*with_bias=*/true);
+    const Tensor x = Tensor::randn({3, 4, 6, 6}, rng);
+    std::vector<ParamRef> refs;
+    layer.collect_params(refs);
+    ASSERT_EQ(refs.size(), 2u);
+    (*refs[1].value) = Tensor::randn({4}, rng);
+    const Tensor y = layer.forward(x, true);
+    const Tensor grad = Tensor::randn(y.shape(), rng);
+    for (std::size_t m = 0; m < core::kRoundingModeCount; ++m) {
+      const int mode = core::all_rounding_modes()[m];
+      SCOPED_TRACE(core::rounding_mode_name(mode));
+      core::ScopedRoundingMode rounding(mode);
+      layer.zero_grads();
+      const Tensor grad_input = layer.backward(grad);
+      const tensor::Conv2dGrads ref =
+          tensor::depthwise_conv2d_backward_reference(
+              x, *refs[0].value, grad, tensor::Conv2dSpec{stride, 1});
+      Tensor grad_weight(refs[0].value->shape());
+      Tensor grad_bias({4});
+      tensor::add_inplace(grad_weight, ref.grad_weight);
+      tensor::add_inplace(grad_bias, ref.grad_bias);
+      EXPECT_TRUE(same_bits(grad_input, ref.grad_input));
+      EXPECT_TRUE(same_bits(*refs[0].grad, grad_weight));
+      EXPECT_TRUE(same_bits(*refs[1].grad, grad_bias));
+    }
+  }
 }
 
 TEST(TanhLayer, MatchesStdTanh) {

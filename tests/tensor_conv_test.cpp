@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <ostream>
 
+#include "core/rounding.h"
 #include "tensor/ops.h"
 
 namespace fedms::tensor {
@@ -166,6 +170,176 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConvGradCase{false, 1, 1}, ConvGradCase{false, 2, 1},
                       ConvGradCase{false, 1, 0}, ConvGradCase{true, 1, 1},
                       ConvGradCase{true, 2, 1}));
+
+// ---- depthwise kernels vs the direct reference loops, bit for bit ----
+
+struct DepthwiseCase {
+  std::size_t height;
+  std::size_t width;
+  std::size_t kernel;
+  std::size_t stride;
+  std::size_t padding;
+  bool bias;
+};
+
+void PrintTo(const DepthwiseCase& c, std::ostream* os) {
+  *os << c.height << "x" << c.width << " k=" << c.kernel
+      << " stride=" << c.stride << " padding=" << c.padding
+      << (c.bias ? " bias" : " no-bias");
+}
+
+// Which special values a case plants in its random tensors.
+enum class Plant {
+  kNone,
+  kSignedZeroGrads,
+  kNonFiniteInputs,
+  kBoth,
+  // Every value becomes ±1 or ±2^35, so products are ±1, ±2^35 or ±2^70:
+  // terms of 2^70 cancel exactly and swallow a 1 or not depending on the
+  // order, which makes even the forward's double sums order-sensitive at
+  // float precision (with random values they practically never are).
+  kCancellingMagnitudes,
+};
+
+void make_cancelling(Tensor& t) {
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    t[i] = std::copysign(std::abs(t[i]) > 0.67f ? std::ldexp(1.0f, 35) : 1.0f,
+                         t[i]);
+}
+
+// Bitwise equality, except that any NaN equals any NaN: IEEE 754 leaves
+// open which NaN operand an add propagates, and the compiler may commute
+// an add's operands, so NaN payloads are not part of the contract.
+// Signed zeros and infinities are compared exactly.
+::testing::AssertionResult BitsEqual(const Tensor& kernel,
+                                     const Tensor& reference) {
+  if (!kernel.same_shape(reference))
+    return ::testing::AssertionFailure()
+           << "shape " << shape_to_string(kernel.shape()) << " vs "
+           << shape_to_string(reference.shape());
+  for (std::size_t i = 0; i < kernel.numel(); ++i) {
+    const float a = kernel[i], b = reference[i];
+    if (std::isnan(a) && std::isnan(b)) continue;
+    std::uint32_t bits_a = 0, bits_b = 0;
+    std::memcpy(&bits_a, &a, sizeof a);
+    std::memcpy(&bits_b, &b, sizeof b);
+    if (bits_a != bits_b)
+      return ::testing::AssertionFailure()
+             << "index " << i << ": kernel " << a << " (0x" << std::hex
+             << bits_a << ") vs reference " << b << " (0x" << bits_b
+             << ")" << std::dec;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class DepthwiseKernel : public ::testing::TestWithParam<DepthwiseCase> {};
+
+TEST_P(DepthwiseKernel, BitIdenticalToReferenceUnderEveryRoundingMode) {
+  const DepthwiseCase param = GetParam();
+  const std::size_t N = 2, C = 3;
+  const Conv2dSpec spec{param.stride, param.padding};
+  const std::size_t Hout =
+      conv_out_size(param.height, param.kernel, spec.stride, spec.padding);
+  const std::size_t Wout =
+      conv_out_size(param.width, param.kernel, spec.stride, spec.padding);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Plant plant :
+       {Plant::kNone, Plant::kSignedZeroGrads, Plant::kNonFiniteInputs,
+        Plant::kBoth, Plant::kCancellingMagnitudes}) {
+    core::Rng rng(11);
+    Tensor input = Tensor::randn({N, C, param.height, param.width}, rng);
+    Tensor weight = Tensor::randn({C, 1, param.kernel, param.kernel}, rng);
+    const Tensor bias = param.bias ? Tensor::randn({C}, rng) : Tensor();
+    Tensor grad = Tensor::randn({N, C, Hout, Wout}, rng);
+    if (plant == Plant::kSignedZeroGrads || plant == Plant::kBoth) {
+      // Plane (0, 1) gets one +0 and one -0; plane (1, 2) is all zeros.
+      // Plane (0, 0) stays zero-free, so both backward paths run.
+      const std::size_t plane = Hout * Wout;
+      grad[plane] = 0.0f;
+      grad[plane + plane - 1] = -0.0f;
+      for (std::size_t i = 0; i < plane; ++i)
+        grad[5 * plane + i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    }
+    if (plant == Plant::kNonFiniteInputs || plant == Plant::kBoth) {
+      const std::size_t plane = param.height * param.width;
+      // Plane (0, 1)'s corner meets its +0 gradient: a skipped 0 × -inf.
+      input[plane] = -inf;
+      input[plane + plane / 2] = inf;
+      input[0] = inf;
+      input[4 * plane + 1] = nan;
+      // Channel 2's last tap meets the all-zero plane (1, 2).
+      weight[weight.numel() - 1] = inf;
+    }
+    if (plant == Plant::kCancellingMagnitudes) {
+      make_cancelling(input);
+      make_cancelling(weight);
+      make_cancelling(grad);
+    }
+    for (std::size_t m = 0; m < core::kRoundingModeCount; ++m) {
+      const int mode = core::all_rounding_modes()[m];
+      SCOPED_TRACE(::testing::Message()
+                   << core::rounding_mode_name(mode) << " plant "
+                   << static_cast<int>(plant));
+      core::ScopedRoundingMode rounding(mode);
+      EXPECT_TRUE(BitsEqual(
+          depthwise_conv2d_forward(input, weight, bias, spec),
+          depthwise_conv2d_forward_reference(input, weight, bias, spec)));
+      const Conv2dGrads kernel =
+          depthwise_conv2d_backward(input, weight, grad, spec);
+      const Conv2dGrads reference =
+          depthwise_conv2d_backward_reference(input, weight, grad, spec);
+      EXPECT_TRUE(BitsEqual(kernel.grad_input, reference.grad_input))
+          << "grad_input";
+      EXPECT_TRUE(BitsEqual(kernel.grad_weight, reference.grad_weight))
+          << "grad_weight";
+      EXPECT_TRUE(BitsEqual(kernel.grad_bias, reference.grad_bias))
+          << "grad_bias";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DepthwiseKernel,
+    ::testing::Values(
+        DepthwiseCase{8, 8, 3, 1, 1, false},  // MobileNet stride 1
+        DepthwiseCase{8, 8, 3, 2, 1, true},   // MobileNet stride 2
+        DepthwiseCase{4, 4, 3, 1, 1, true},
+        DepthwiseCase{5, 7, 1, 1, 0, true},   // 1x1, H != W
+        DepthwiseCase{7, 9, 5, 2, 2, false},  // odd sizes, k=5
+        DepthwiseCase{6, 4, 5, 1, 2, true},
+        DepthwiseCase{6, 3, 3, 1, 0, true},   // Wout == 1
+        DepthwiseCase{5, 2, 3, 2, 1, false},  // Wout == 1, stride 2
+        DepthwiseCase{3, 3, 3, 1, 2, true},   // taps wholly in the padding
+        DepthwiseCase{1, 9, 5, 1, 2, false},  // one input row
+        DepthwiseCase{9, 7, 3, 2, 0, true},
+        DepthwiseCase{7, 8, 3, 3, 1, true}));  // generic (runtime) stride
+
+TEST(DepthwiseKernel, AccumulatingBackwardAddsIntoBuffers) {
+  core::Rng rng(12);
+  const Tensor input = Tensor::randn({2, 3, 5, 5}, rng);
+  const Tensor weight = Tensor::randn({3, 1, 3, 3}, rng);
+  const Conv2dSpec spec{1, 1};
+  const Tensor grad = Tensor::randn({2, 3, 5, 5}, rng);
+  const Conv2dGrads fresh =
+      depthwise_conv2d_backward(input, weight, grad, spec);
+  Tensor grad_weight = Tensor::ones(weight.shape());
+  Tensor no_bias;
+  const Tensor grad_input = depthwise_conv2d_backward_acc(
+      input, weight, grad, spec, grad_weight, no_bias);
+  EXPECT_TRUE(BitsEqual(grad_input, fresh.grad_input));
+  for (std::size_t i = 0; i < grad_weight.numel(); ++i)
+    EXPECT_NEAR(grad_weight[i], 1.0f + fresh.grad_weight[i], 1e-5f);
+}
+
+TEST(DepthwiseDeath, MismatchedGradOutputAborts) {
+  const Tensor input({1, 2, 4, 4});
+  const Tensor weight({2, 1, 3, 3});
+  const Tensor grad({1, 2, 3, 4});  // stride 1, padding 1 gives 4x4
+  EXPECT_DEATH((void)depthwise_conv2d_backward(input, weight, grad,
+                                               Conv2dSpec{1, 1}),
+               "Precondition");
+}
 
 TEST(ConvDeath, MismatchedChannelsAbort) {
   const Tensor input({1, 3, 4, 4});
