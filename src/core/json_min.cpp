@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cfenv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -258,6 +259,7 @@ std::string json_escape(const std::string& text) {
 }
 
 std::string json_double(double value) {
+  if (!std::isfinite(value)) return "null";
   // Both directions of the round-trip are pinned to nearest: snprintf's
   // binary→decimal shortening and the strtod check drift by one digit in
   // the last place under directed fenv modes, which would make a file
@@ -270,6 +272,12 @@ std::string json_double(double value) {
     std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
     if (std::strtod(buffer, nullptr) == value) break;
   }
+  return buffer;
+}
+
+std::string exact_double(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%a", value);
   return buffer;
 }
 

@@ -57,7 +57,15 @@ class Json {
 // Escapes a string for embedding in a JSON document (adds no quotes).
 std::string json_escape(const std::string& text);
 
-// Shortest round-trippable formatting for a double (%.17g, trimmed).
+// Shortest round-trippable formatting for a double (%.17g, trimmed),
+// identical under every fenv rounding mode; "null" when not finite (JSON
+// has no NaN or Infinity).
 std::string json_double(double value);
+
+// C99 hexfloat ("%a"): exact text for a double in both directions, under
+// every fenv rounding mode (decimal snprintf/strtod obey the ambient mode,
+// so 0.3 prints as 0.299999 under FE_TOWARDZERO). For doubles that must
+// reach another process bit for bit: node reports and child argv.
+std::string exact_double(double value);
 
 }  // namespace fedms::core

@@ -29,8 +29,6 @@ std::string FedMsConfig::check() const {
            "candidates on a non-empty root batch)";
   if (rounds == 0) return "--rounds must be >= 1";
   if (eval_every == 0) return "--eval-every must be >= 1";
-  if (!(network_loss_rate >= 0.0 && network_loss_rate < 1.0))
-    return "--loss-rate must be in [0, 1)";
   if (byzantine_placement != "first" && byzantine_placement != "random")
     return "--byzantine-placement must be first or random, got \"" +
            byzantine_placement + "\"";
@@ -45,10 +43,6 @@ std::string FedMsConfig::check() const {
            byzantine_client_placement + "\"";
   if (!(participation > 0.0 && participation <= 1.0))
     return "--participation must be in (0, 1]";
-  if (participation_strategy != "uniform" &&
-      participation_strategy != "highloss")
-    return "--participation-strategy must be uniform or highloss, got \"" +
-           participation_strategy + "\"";
   if (const std::string error = check_wire_encoding(wire_encoding);
       !error.empty())
     return "--wire-encoding: " + error;

@@ -42,13 +42,9 @@ struct FedMsConfig {
 
   // --- partial participation (extension) ---
   // Fraction of clients that train and upload each round (1.0 = all, the
-  // paper's setting). Non-participants still receive broadcasts and filter.
+  // paper's setting), drawn uniformly per round (fl::draw_participants).
+  // Non-participants still receive broadcasts and filter.
   double participation = 1.0;
-  // How participants are chosen: "uniform" random (Lemma-3 compatible) or
-  // "highloss" — power-of-choice-style biased selection of the clients
-  // with the highest previous-round training loss (Cho et al. 2020,
-  // the paper's reference [19]). First round falls back to uniform.
-  std::string participation_strategy = "uniform";
 
   // --- negotiated wire encoding (src/fl/wire_encoding.h) ---
   // Applied to every model payload in both directions: f32 (lossless
@@ -67,9 +63,6 @@ struct FedMsConfig {
   // --- telemetry ---
   std::size_t eval_every = 1;    // evaluate every N rounds
   std::size_t eval_clients = 0;  // 0 = average over all K clients
-
-  // --- failure injection ---
-  double network_loss_rate = 0.0;
 
   // --- execution ---
   // Worker threads for the local-training stage (clients are independent;

@@ -1,7 +1,6 @@
 #include "fl/fedms.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/contracts.h"
 #include "obs/obs.h"
@@ -19,6 +18,15 @@ std::size_t participant_count(const FedMsConfig& fed) {
   return std::max<std::size_t>(
       1, static_cast<std::size_t>(fed.participation * double(fed.clients) +
                                   0.5));
+}
+
+std::vector<bool> draw_participants(const FedMsConfig& fed, core::Rng& rng) {
+  if (fed.participation >= 1.0) return std::vector<bool>(fed.clients, true);
+  std::vector<bool> participates(fed.clients, false);
+  for (const std::size_t k :
+       rng.sample_without_replacement(fed.clients, participant_count(fed)))
+    participates[k] = true;
+  return participates;
 }
 
 bool eval_due(const FedMsConfig& fed, std::uint64_t round) {
@@ -62,8 +70,6 @@ FedMsRun::FedMsRun(FedMsConfig config, std::vector<LearnerPtr> learners)
   steps_.reserve(config_.clients);
   for (std::size_t k = 0; k < config_.clients; ++k)
     steps_.emplace_back(config_, k, *learners_[k], *filter_);
-  network_ = net::SimNetwork(seeds.make_rng("network"));
-  network_.set_loss_rate(config_.network_loss_rate);
   participation_rng_ = seeds.make_rng("participation");
 }
 
@@ -94,29 +100,9 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
   const net::TrafficStats up_before = network_.uplink();
   const net::TrafficStats down_before = network_.downlink();
 
-  // Partial participation (extension): sample this round's active set —
-  // uniformly, or biased toward high-loss clients (power-of-choice).
-  std::vector<bool> participates(learners_.size(), true);
-  if (config_.participation < 1.0) {
-    const std::size_t active = participant_count(config_);
-    participates.assign(learners_.size(), false);
-    if (config_.participation_strategy == "highloss" &&
-        !last_losses_.empty()) {
-      std::vector<std::size_t> order(learners_.size());
-      for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-      std::partial_sort(order.begin(),
-                        order.begin() + std::ptrdiff_t(active), order.end(),
-                        [&](std::size_t a, std::size_t b) {
-                          return last_losses_[a] > last_losses_[b];
-                        });
-      for (std::size_t i = 0; i < active; ++i) participates[order[i]] = true;
-    } else {
-      for (const std::size_t k :
-           participation_rng_.sample_without_replacement(learners_.size(),
-                                                         active))
-        participates[k] = true;
-    }
-  }
+  // Partial participation (extension): this round's active set.
+  const std::vector<bool> participates =
+      draw_participants(config_, participation_rng_);
 
   // ---- Stage 1: local training ----
   // Clients train independently (each step owns its model, sampler, and
@@ -137,14 +123,6 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
     ++trained;
   }
   record.train_loss = loss_sum / double(trained);
-
-  // Record per-client losses for power-of-choice selection; skipped
-  // clients keep their (stale) previous estimate.
-  if (last_losses_.empty())
-    last_losses_.assign(learners_.size(),
-                        std::numeric_limits<double>::infinity());
-  for (std::size_t k = 0; k < learners_.size(); ++k)
-    if (participates[k]) last_losses_[k] = losses[k];
 
   // ---- Stage 2: model aggregation (upload + PS-side aggregation) ----
   {
@@ -188,10 +166,10 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
       received.reserve(servers_.size());
       for (auto& m : network_.drain_inbox(net::client_id(k)))
         received.push_back(std::move(m.payload));
-      // Network loss can thin the set; the filter re-derives the trim
-      // count from B over whatever survived (other rules degrade to the
-      // mean below their preconditions). A total blackout leaves the client
-      // continuing from its local model.
+      // A silent (crash-attack) PS thins the set; the filter re-derives
+      // the trim count from B over whatever arrived (other rules degrade
+      // to the mean below their preconditions). With every PS silent the
+      // client continues from its local model.
       if (!received.empty()) steps_[k].install(steps_[k].filter(received));
     }
   }

@@ -19,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/rng.h"
 #include "core/thread_pool.h"
 #include "fl/aggregators.h"
 #include "fl/client_step.h"
@@ -61,6 +62,14 @@ struct RunResult {
 // Clients that train each round under partial participation:
 // round(participation·K), at least 1.
 std::size_t participant_count(const FedMsConfig& fed);
+
+// The round's participant mask (size K): participant_count(fed) clients
+// drawn uniformly without replacement from `rng`, the run's sequential
+// "participation" stream. At participation 1 every client participates
+// and nothing is drawn. Every engine calls this once per round, in round
+// order, so a node process replaying the stream gets the simulator's
+// masks.
+std::vector<bool> draw_participants(const FedMsConfig& fed, core::Rng& rng);
 
 // True on the rounds fed.eval_every schedules, and on the last round.
 bool eval_due(const FedMsConfig& fed, std::uint64_t round);
@@ -112,7 +121,6 @@ class FedMsRun {
   net::SimNetwork network_;
   net::LatencyModel latency_;
   core::Rng participation_rng_;
-  std::vector<double> last_losses_;  // per-client, for highloss selection
   core::ThreadPool pool_;                        // local-training fan-out
   RoundCallback callback_;
 };

@@ -1,59 +1,18 @@
 #include "metrics/json.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "core/json_min.h"
+
 namespace fedms::metrics {
 
-namespace {
+using core::json_double;
+using core::json_escape;
 
-// JSON has no NaN/Infinity; emit null for non-finite values.
-void write_number(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  os << buffer;
-}
-
-}  // namespace
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+std::string json_optional(const std::optional<double>& value) {
+  return value ? json_double(*value) : "null";
 }
 
 void write_run_json(std::ostream& os, const fl::FedMsConfig& config,
@@ -72,31 +31,19 @@ void write_run_json(std::ostream& os, const fl::FedMsConfig& config,
      << ", \"byzantine_clients\": " << config.byzantine_clients
      << ", \"client_attack\": \"" << json_escape(config.client_attack) << '"'
      << ", \"wire_encoding\": \"" << json_escape(config.wire_encoding)
-     << '"' << ", \"participation\": ";
-  write_number(os, config.participation);
-  os << ", \"seed\": " << config.seed << "},\n  \"rounds\": [";
+     << '"' << ", \"participation\": " << json_double(config.participation)
+     << ", \"seed\": " << config.seed << "},\n  \"rounds\": [";
   for (std::size_t i = 0; i < result.rounds.size(); ++i) {
     const auto& r = result.rounds[i];
     os << (i ? ",\n    " : "\n    ") << "{\"round\": " << r.round
-       << ", \"train_loss\": ";
-    write_number(os, r.train_loss);
-    os << ", \"eval_accuracy\": ";
-    if (r.eval_accuracy)
-      write_number(os, *r.eval_accuracy);
-    else
-      os << "null";
-    os << ", \"eval_loss\": ";
-    if (r.eval_loss)
-      write_number(os, *r.eval_loss);
-    else
-      os << "null";
-    os << ", \"uplink_bytes\": " << r.uplink_bytes
+       << ", \"train_loss\": " << json_double(r.train_loss)
+       << ", \"eval_accuracy\": " << json_optional(r.eval_accuracy)
+       << ", \"eval_loss\": " << json_optional(r.eval_loss)
+       << ", \"uplink_bytes\": " << r.uplink_bytes
        << ", \"downlink_bytes\": " << r.downlink_bytes
-       << ", \"upload_seconds\": ";
-    write_number(os, r.upload_seconds);
-    os << ", \"broadcast_seconds\": ";
-    write_number(os, r.broadcast_seconds);
-    os << "}";
+       << ", \"upload_seconds\": " << json_double(r.upload_seconds)
+       << ", \"broadcast_seconds\": " << json_double(r.broadcast_seconds)
+       << "}";
   }
   os << "\n  ],\n  \"traffic\": {"
      << "\"uplink_messages\": " << result.uplink_total.messages
@@ -106,9 +53,8 @@ void write_run_json(std::ostream& os, const fl::FedMsConfig& config,
      << ", \"dropped_messages\": "
      << result.uplink_total.dropped_messages +
             result.downlink_total.dropped_messages
-     << ", \"simulated_comm_seconds\": ";
-  write_number(os, result.simulated_comm_seconds);
-  os << "}\n}\n";
+     << ", \"simulated_comm_seconds\": "
+     << json_double(result.simulated_comm_seconds) << "}\n}\n";
 }
 
 void save_run_json(const std::string& path, const fl::FedMsConfig& config,

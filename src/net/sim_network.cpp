@@ -1,7 +1,5 @@
 #include "net/sim_network.h"
 
-#include "core/contracts.h"
-
 namespace fedms::net {
 
 TrafficStats& TrafficStats::operator+=(const TrafficStats& other) {
@@ -9,11 +7,6 @@ TrafficStats& TrafficStats::operator+=(const TrafficStats& other) {
   bytes += other.bytes;
   dropped_messages += other.dropped_messages;
   return *this;
-}
-
-void SimNetwork::set_loss_rate(double rate) {
-  FEDMS_EXPECTS(rate >= 0.0 && rate < 1.0);
-  loss_rate_ = rate;
 }
 
 TrafficStats& SimNetwork::direction_for(const NodeId& sender,
@@ -24,10 +17,6 @@ TrafficStats& SimNetwork::direction_for(const NodeId& sender,
 
 void SimNetwork::send(Message message) {
   TrafficStats& direction = direction_for(message.from, uplink_, downlink_);
-  if (loss_rate_ > 0.0 && rng_.bernoulli(loss_rate_)) {
-    ++direction.dropped_messages;
-    return;
-  }
   direction.messages += 1;
   direction.bytes += wire_size(message);
   inboxes_[message.to].push_back(std::move(message));

@@ -7,10 +7,8 @@
 // by direction — the quantity behind the paper's claim that sparse
 // uploading costs K model-transfers versus K×P for upload-to-all.
 //
-// Failure injection: an optional uniform loss rate drops messages at send
-// time (deterministically, from the bus's own RNG), which the robustness
-// tests use to check that aggregation degrades gracefully when uploads go
-// missing.
+// The bus itself never loses a message: message faults (drops, delays,
+// duplicates, omissions) are the event-driven runtime's FaultPlan.
 //
 // Drop attribution contract (shared with the event-driven runtime and the
 // transport telemetry so the counters stay comparable): a lost message is
@@ -27,7 +25,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/rng.h"
 #include "net/message.h"
 
 namespace fedms::net {
@@ -42,14 +39,8 @@ struct TrafficStats {
 
 class SimNetwork {
  public:
-  SimNetwork() : rng_(0) {}
-  explicit SimNetwork(core::Rng rng) : rng_(rng) {}
-
-  // Fraction of messages dropped at send time (failure injection).
-  void set_loss_rate(double rate);
-
-  // Queues a message for its destination (unless dropped) and records
-  // traffic. Payloads are moved, not copied.
+  // Queues a message for its destination and records traffic. Payloads
+  // are moved, not copied.
   void send(Message message);
 
   // Removes and returns every queued message addressed to `node`, in send
@@ -76,8 +67,6 @@ class SimNetwork {
   std::map<NodeId, std::vector<Message>> inboxes_;
   TrafficStats uplink_;
   TrafficStats downlink_;
-  double loss_rate_ = 0.0;
-  core::Rng rng_;
 };
 
 }  // namespace fedms::net

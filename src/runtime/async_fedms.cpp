@@ -55,17 +55,12 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   options_.validate();
   FEDMS_EXPECTS(learners_.size() == config_.clients);
   for (const auto& learner : learners_) FEDMS_EXPECTS(learner != nullptr);
-  // Extensions the event-driven runtime does not model (yet): use the
-  // synchronous FedMsRun for these. worker_threads is ignored — handlers
-  // run inline in deterministic event order.
-  FEDMS_EXPECTS(config_.participation == 1.0);
-  // Only stateless wire encodings (f32, fp16, int8): delta and top-k
-  // would need per-link channel state threaded through the event queue's
-  // retry/crash paths. CLI layers reject them with a one-line error
-  // before this fires.
+  // worker_threads is ignored — handlers run inline in deterministic
+  // event order. Only stateless wire encodings (f32, fp16, int8): delta
+  // and top-k would need per-link channel state threaded through the
+  // event queue's retry/crash paths. CLI layers reject them with a
+  // one-line error before this fires.
   FEDMS_EXPECTS(!fl::wire_encoding_spec(config_.wire_encoding).stateful());
-  // Uniform network loss is expressed as FaultPlan::drop_rate here.
-  FEDMS_EXPECTS(config_.network_loss_rate == 0.0);
   for (const ServerCrash& crash : options_.faults.crashes)
     FEDMS_EXPECTS(crash.server < config_.servers);
   // Recovery/churn events must name in-range nodes, every recovery must
@@ -99,6 +94,7 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
     steps_.emplace_back(config_, k, *learners_[k], *filter_);
   quorum_ = options_.quorum(config_.byzantine, config_.client_filter);
   faults_ = FaultInjector(options_.faults, seeds_.make_rng("fault-injector"));
+  participation_rng_ = seeds_.make_rng("participation");
 
   clients_.resize(config_.clients);
   for (ClientState& client : clients_) client.last_feasible = w0;
@@ -299,6 +295,9 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
     }
   }
   FEDMS_ASSERT(active_count_ > 0);
+  // Partial participation: drawn over all K clients every round, as in the
+  // synchronous loop, so membership cannot shift the stream.
+  participates_ = fl::draw_participants(config_, participation_rng_);
   // Round-keyed streams: client k's draws for this round (PS choice,
   // forgery, DP noise) are a pure function of (root seed, round, k), so a
   // client joining at round t draws exactly the streams it would own had
@@ -311,16 +310,21 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
   }
   if (round_start_hook_) round_start_hook_(round);
   clients_done_ = 0;
-  std::fill(round_losses_.begin(), round_losses_.end(), 0.0);
 
   const double t0 = queue_.now();
   const double t_aggregate = t0 + options_.upload_window_seconds;
   const double t_filter = t_aggregate + options_.broadcast_timeout_seconds;
 
-  // Local training completes per client after straggler-scaled compute
-  // time; the handler uploads and arms that client's filter deadline.
+  // Local training completes per participant after straggler-scaled
+  // compute time; the handler uploads and arms that client's filter
+  // deadline. A non-participant only filters, at the shared deadline.
   for (std::size_t k = 0; k < config_.clients; ++k) {
     if (!client_active_[k]) continue;
+    if (!participates_[k]) {
+      queue_.schedule_at(t_filter,
+                         [this, k, round] { client_filter_deadline(k, round); });
+      continue;
+    }
     const double done =
         t0 + options_.compute_seconds *
                  faults_.straggler_factor(net::client_id(k));
@@ -395,10 +399,17 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
   record.end_seconds = queue_.now();
   if (round_callback_) round_callback_(round, learners_);
 
-  // ---- Telemetry ---- (loss / candidate means are over active clients)
+  // ---- Telemetry ---- (the loss mean is over the clients that trained,
+  // in ascending order as the synchronous loop sums it, and 0 when none
+  // did; the candidate mean is over active clients)
   double loss_sum = 0.0;
-  for (const double loss : round_losses_) loss_sum += loss;
-  record.base.train_loss = loss_sum / double(active_count_);
+  std::size_t trained = 0;
+  for (std::size_t k = 0; k < config_.clients; ++k) {
+    if (!client_active_[k] || !participates_[k]) continue;
+    loss_sum += round_losses_[k];
+    ++trained;
+  }
+  record.base.train_loss = trained == 0 ? 0.0 : loss_sum / double(trained);
   record.mean_candidates /= double(active_count_);
   record.base.upload_seconds = t_aggregate - t0;
   record.base.broadcast_seconds = record.end_seconds - t_aggregate;

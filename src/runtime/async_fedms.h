@@ -4,8 +4,8 @@
 //
 // One round, as events on the EventQueue (t0 = round start):
 //
-//   t0 + compute·straggler(k)      client k finishes E local steps and
-//                                  uploads to its chosen PS(s); each
+//   t0 + compute·straggler(k)      participant k finishes E local steps
+//                                  and uploads to its chosen PS(s); each
 //                                  message is individually delayed by the
 //                                  sender's link (LatencyModel) and the
 //                                  FaultInjector (drop/dup/delay).
@@ -22,6 +22,11 @@
 //                                  exponential backoff, then falls back to
 //                                  its last feasible model.
 //
+// Partial participation draws the round's participants exactly as the
+// synchronous loop does (fl::draw_participants on the "participation"
+// stream); a non-participant neither trains nor uploads, but still
+// receives, filters and installs from t0 + upload_window + timeout on.
+//
 // The round ends when the queue drains; the next round starts at that
 // virtual time. Every handler runs in deterministic (time, seq) order, so
 // a given (seed, fault plan) replays bit-identically — the event-trace
@@ -33,9 +38,10 @@
 // only schedules them. Wire encodings: the stateless fp16/int8 specs apply
 // to every upload and per-recipient broadcast, as in the synchronous loop.
 //
-// Unsupported (sync-loop only, rejected at construction): partial
-// participation, stateful wire encodings (delta, top-k), and
-// `network_loss_rate` (subsumed by FaultPlan::drop_rate).
+// Unsupported (rejected at construction; the sync loop and the transport
+// engine run them): stateful wire encodings (delta, top-k). Drops,
+// duplicates and retries break a delta/top-k stream, and showing that
+// would need decoding at the receiver, which this engine does not model.
 #pragma once
 
 #include <cstdint>
@@ -207,6 +213,7 @@ class AsyncFedMsRun {
   fl::AggregatorPtr filter_;
   std::vector<fl::ClientStep> steps_;  // one per learner
   std::size_t quorum_ = 1;
+  core::Rng participation_rng_;
   net::LatencyModel latency_;
   EventQueue queue_;
   FaultInjector faults_;
@@ -225,6 +232,7 @@ class AsyncFedMsRun {
   std::vector<char> ps_aggregated_;
   std::vector<char> client_active_;  // membership at the current round
   std::size_t active_count_ = 0;
+  std::vector<bool> participates_;  // the round's fl::draw_participants
   std::vector<double> round_losses_;
   std::size_t clients_done_ = 0;
   AsyncRoundRecord* record_ = nullptr;  // current round's record

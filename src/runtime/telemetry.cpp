@@ -1,35 +1,17 @@
 #include "runtime/telemetry.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "core/json_min.h"
 #include "metrics/json.h"
 
 namespace fedms::runtime {
 
-namespace {
-
-void write_number(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  os << buffer;
-}
-
-void write_optional(std::ostream& os, const std::optional<double>& value) {
-  if (value)
-    write_number(os, *value);
-  else
-    os << "null";
-}
-
-}  // namespace
+using core::json_double;
+using core::json_escape;
+using metrics::json_optional;
 
 void write_async_run_json(std::ostream& os, const fl::FedMsConfig& config,
                           const RuntimeOptions& options,
@@ -39,39 +21,34 @@ void write_async_run_json(std::ostream& os, const fl::FedMsConfig& config,
      << ", \"servers\": " << config.servers
      << ", \"byzantine\": " << config.byzantine
      << ", \"rounds\": " << config.rounds
-     << ", \"upload\": \"" << metrics::json_escape(config.upload) << '"'
+     << ", \"upload\": \"" << json_escape(config.upload) << '"'
      << ", \"client_filter\": \""
-     << metrics::json_escape(config.client_filter) << '"'
-     << ", \"attack\": \"" << metrics::json_escape(config.attack) << '"'
+     << json_escape(config.client_filter) << '"'
+     << ", \"attack\": \"" << json_escape(config.attack) << '"'
      << ", \"wire_encoding\": \""
-     << metrics::json_escape(config.wire_encoding) << '"'
+     << json_escape(config.wire_encoding) << '"'
+     << ", \"participation\": " << json_double(config.participation)
      << ", \"seed\": " << config.seed << "},\n  \"options\": {"
-     << "\"compute_seconds\": ";
-  write_number(os, options.compute_seconds);
-  os << ", \"upload_window_seconds\": ";
-  write_number(os, options.upload_window_seconds);
-  os << ", \"broadcast_timeout_seconds\": ";
-  write_number(os, options.broadcast_timeout_seconds);
-  os << ", \"max_retries\": " << options.max_retries
-     << ", \"retry_backoff_seconds\": ";
-  write_number(os, options.retry_backoff_seconds);
-  os << "},\n  \"fault_plan\": \""
-     << metrics::json_escape(options.faults.to_string())
+     << "\"compute_seconds\": " << json_double(options.compute_seconds)
+     << ", \"upload_window_seconds\": "
+     << json_double(options.upload_window_seconds)
+     << ", \"broadcast_timeout_seconds\": "
+     << json_double(options.broadcast_timeout_seconds)
+     << ", \"max_retries\": " << options.max_retries
+     << ", \"retry_backoff_seconds\": "
+     << json_double(options.retry_backoff_seconds)
+     << "},\n  \"fault_plan\": \""
+     << json_escape(options.faults.to_string())
      << "\",\n  \"rounds\": [";
   for (std::size_t i = 0; i < result.rounds.size(); ++i) {
     const AsyncRoundRecord& r = result.rounds[i];
     os << (i ? ",\n    " : "\n    ") << "{\"round\": " << r.base.round
-       << ", \"train_loss\": ";
-    write_number(os, r.base.train_loss);
-    os << ", \"eval_accuracy\": ";
-    write_optional(os, r.base.eval_accuracy);
-    os << ", \"eval_loss\": ";
-    write_optional(os, r.base.eval_loss);
-    os << ", \"start_seconds\": ";
-    write_number(os, r.start_seconds);
-    os << ", \"end_seconds\": ";
-    write_number(os, r.end_seconds);
-    os << ", \"uplink_messages\": " << r.base.uplink_messages
+       << ", \"train_loss\": " << json_double(r.base.train_loss)
+       << ", \"eval_accuracy\": " << json_optional(r.base.eval_accuracy)
+       << ", \"eval_loss\": " << json_optional(r.base.eval_loss)
+       << ", \"start_seconds\": " << json_double(r.start_seconds)
+       << ", \"end_seconds\": " << json_double(r.end_seconds)
+       << ", \"uplink_messages\": " << r.base.uplink_messages
        << ", \"downlink_messages\": " << r.base.downlink_messages
        << ", \"uplink_bytes\": " << r.base.uplink_bytes
        << ", \"downlink_bytes\": " << r.base.downlink_bytes
@@ -84,9 +61,8 @@ void write_async_run_json(std::ostream& os, const fl::FedMsConfig& config,
        << ", \"crashed_servers\": " << r.crashed_servers
        << ", \"min_candidates\": " << r.min_candidates
        << ", \"max_candidates\": " << r.max_candidates
-       << ", \"mean_candidates\": ";
-    write_number(os, r.mean_candidates);
-    os << "}";
+       << ", \"mean_candidates\": " << json_double(r.mean_candidates)
+       << "}";
   }
   os << "\n  ],\n  \"totals\": {"
      << "\"uplink_messages\": " << result.uplink_total.messages
@@ -96,9 +72,8 @@ void write_async_run_json(std::ostream& os, const fl::FedMsConfig& config,
      << ", \"dropped_messages\": "
      << result.uplink_total.dropped_messages +
             result.downlink_total.dropped_messages
-     << ", \"virtual_seconds\": ";
-  write_number(os, result.virtual_seconds);
-  os << ", \"trace_hash\": " << result.trace_hash << "}\n}\n";
+     << ", \"virtual_seconds\": " << json_double(result.virtual_seconds)
+     << ", \"trace_hash\": " << result.trace_hash << "}\n}\n";
 }
 
 void save_async_run_json(const std::string& path,

@@ -50,6 +50,16 @@ bool bits_equal(const std::optional<double>& a,
   return !a.has_value() || bits_equal(*a, *b);
 }
 
+// Every round's participant mask, replayed from the run's "participation"
+// stream as each engine draws it — the trace oracle's expectations.
+std::vector<std::vector<bool>> participant_masks(const fl::FedMsConfig& fed) {
+  core::Rng rng = core::SeedSequence(fed.seed).make_rng("participation");
+  std::vector<std::vector<bool>> masks;
+  for (std::size_t r = 0; r < fed.rounds; ++r)
+    masks.push_back(fl::draw_participants(fed, rng));
+  return masks;
+}
+
 // The convex workload both async kinds run on (the runtime acceptance
 // tests' problem shape, sized by the schedule).
 data::QuadraticProblem make_problem(const FuzzSchedule& schedule) {
@@ -246,9 +256,11 @@ FuzzOutcome run_parity(const FuzzSchedule& schedule,
     }
   }
 
-  outcome.violation = check_trace_causality(async.result.trace,
-                                            schedule.clients,
-                                            schedule.rounds);
+  const std::vector<std::vector<bool>> participants =
+      participant_masks(fed);
+  outcome.violation =
+      check_trace_causality(async.result.trace, schedule.clients,
+                            schedule.rounds, nullptr, &participants);
   if (!outcome.violation)
     outcome.violation = check_canonical_stage_order(spans, "async");
   if (!outcome.violation)
@@ -313,9 +325,11 @@ FuzzOutcome run_fault(const FuzzSchedule& schedule,
     return outcome;
   }
 
+  const std::vector<std::vector<bool>> participants =
+      participant_masks(schedule.fed_config());
   outcome.violation =
       check_trace_causality(first.result.trace, schedule.clients,
-                            schedule.rounds, &scheduled.faults);
+                            schedule.rounds, &scheduled.faults, &participants);
   if (!outcome.violation)
     outcome.violation = check_wire_roundtrip(first_observer.wire_sample);
   return outcome;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <tuple>
 
 #include "core/contracts.h"
@@ -99,9 +100,19 @@ OracleResult check_filter_event(const runtime::FilterEvent& event,
   return std::nullopt;
 }
 
-OracleResult check_trace_causality(const std::vector<std::string>& trace,
-                                   std::size_t clients, std::uint64_t rounds,
-                                   const runtime::FaultPlan* plan) {
+OracleResult check_trace_causality(
+    const std::vector<std::string>& trace, std::size_t clients,
+    std::uint64_t rounds, const runtime::FaultPlan* plan,
+    const std::vector<std::vector<bool>>* participants) {
+  // Non-participants by (round, trace node name): they filter untrained.
+  std::set<std::pair<std::uint64_t, std::string>> idle;
+  if (participants != nullptr) {
+    FEDMS_EXPECTS(participants->size() >= rounds);
+    for (std::uint64_t r = 0; r < rounds; ++r)
+      for (std::size_t k = 0; k < clients; ++k)
+        if (!(*participants)[r][k])
+          idle.emplace(r, "client#" + std::to_string(k));
+  }
   std::map<std::pair<std::uint64_t, std::string>, int> trained;
   std::map<std::pair<std::uint64_t, std::string>, int> finished;
   std::map<std::tuple<std::uint64_t, std::string, std::string>, long> sent;
@@ -134,7 +145,7 @@ OracleResult check_trace_causality(const std::vector<std::string>& trace,
     if (name == "trained") {
       ++trained[{round, from}];
     } else if (name == "filter" || name == "fallback") {
-      if (trained[{round, from}] == 0)
+      if (trained[{round, from}] == 0 && idle.count({round, from}) == 0)
         return violation(
             "trace", format("client filtered before training: %s",
                             line.c_str()));
@@ -153,11 +164,12 @@ OracleResult check_trace_causality(const std::vector<std::string>& trace,
       const int expected =
           (plan != nullptr && !plan->client_active(k, r)) ? 0 : 1;
       const std::string node = "client#" + std::to_string(k);
-      if (trained[{r, node}] != expected)
+      const int expected_training = idle.count({r, node}) ? 0 : expected;
+      if (trained[{r, node}] != expected_training)
         return violation(
             "trace", format("r%llu %s trained %d times (expected %d)",
                             static_cast<unsigned long long>(r), node.c_str(),
-                            trained[{r, node}], expected));
+                            trained[{r, node}], expected_training));
       if (finished[{r, node}] != expected)
         return violation(
             "trace",

@@ -15,11 +15,12 @@
 //                 covers the attack (checked as part of `envelope`).
 //   trace         event-trace causality over the async runtime's recorded
 //                 trace: virtual time and round indices are nondecreasing,
-//                 every active client trains exactly once per round and
-//                 filters (or falls back) exactly once, never before
-//                 training — clients a FaultPlan's churn marks absent owe
-//                 exactly zero of each — and no link delivers more copies
-//                 than were sent.
+//                 every active participant trains exactly once per round
+//                 and filters (or falls back) exactly once, never before
+//                 training; an active non-participant never trains and
+//                 still filters exactly once; clients a FaultPlan's churn
+//                 marks absent owe exactly zero of each; and no link
+//                 delivers more copies than were sent.
 //   stage-order   telemetry spans group per round into the canonical
 //                 local_training -> upload -> aggregation -> dissemination
 //                 -> filter order (fault-free runs only — stragglers may
@@ -63,11 +64,14 @@ OracleResult check_filter_event(const runtime::FilterEvent& event,
 // `plan`, when non-null, makes the per-client expectations
 // membership-aware: a client the plan's churn marks inactive at round r
 // must train and filter exactly zero times there (it only leaves an
-// "absent" marker in the trace); every other (client, round) pair still
-// owes exactly one of each.
+// "absent" marker in the trace). `participants`, when non-null, holds each
+// round's fl::draw_participants mask: an active client outside round r's
+// mask must train zero times and filter exactly once. Every other
+// (client, round) pair owes exactly one of each, training first.
 OracleResult check_trace_causality(
     const std::vector<std::string>& trace, std::size_t clients,
-    std::uint64_t rounds, const runtime::FaultPlan* plan = nullptr);
+    std::uint64_t rounds, const runtime::FaultPlan* plan = nullptr,
+    const std::vector<std::vector<bool>>* participants = nullptr);
 
 // Canonical per-round stage order over an obs span snapshot (spans of
 // `category` only; first-start per stage must follow

@@ -396,9 +396,13 @@ FuzzSchedule generate_schedule(std::uint64_t seed) {
   s.run_seed = rng() | 1;  // nonzero
   s.data_seed = rng() | 1;
 
-  if (s.kind == ScheduleKind::kTransport) {
+  // Partial participation, drawn the same way for both fault-free kinds.
+  const auto draw_participation = [&] {
     if (rng.uniform() < 0.4)
       s.participation = 0.5 + 0.25 * rng.uniform_index(2);  // 0.5 | 0.75
+  };
+  if (s.kind == ScheduleKind::kTransport) {
+    draw_participation();
     return s;  // fault-free by construction; defaults for the windows
   }
 
@@ -408,7 +412,12 @@ FuzzSchedule generate_schedule(std::uint64_t seed) {
   s.upload_window_seconds = windows[rng.uniform_index(3)];
   s.broadcast_timeout_seconds = windows[rng.uniform_index(3)];
   s.max_retries = rng.uniform_index(3);  // 0..2
-  if (s.kind == ScheduleKind::kParity) return s;
+  if (s.kind == ScheduleKind::kParity) {
+    // Drawn after every other parity field, so no field of an existing
+    // corpus schedule moves.
+    draw_participation();
+    return s;
+  }
 
   // kFault: explicit scripted events.
   const std::size_t message_events = rng.uniform_index(7);  // 0..6

@@ -89,7 +89,7 @@ struct FuzzSchedule {
   std::string client_filter = "trmean:0.34";
   std::string attack = "noise";
   std::string byzantine_placement = "first";
-  double participation = 1.0;  // < 1 only for kTransport
+  double participation = 1.0;  // < 1 only for kParity and kTransport
 
   // Independent seeds for the run and the synthetic problem data.
   std::uint64_t run_seed = 1;

@@ -1,7 +1,6 @@
 #include "transport/node_runner.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <map>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "core/contracts.h"
+#include "core/json_min.h"
 #include "core/rng.h"
 #include "fl/aggregators.h"
 #include "fl/client_step.h"
@@ -26,13 +26,6 @@ namespace {
 [[noreturn]] void protocol_error(const net::NodeId& self,
                                  const std::string& what) {
   throw std::runtime_error(net::to_string(self) + ": " + what);
-}
-
-// Format doubles as C99 hexfloats: exact round-trip through text.
-std::string exact_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
 }
 
 const char* kind_name(net::NodeKind kind) {
@@ -91,38 +84,14 @@ double mean_over_evaluated(const TransportRunSummary& summary,
 
 }  // namespace
 
-bool client_participates(const fl::FedMsConfig& fed, core::Rng& rng,
-                         std::size_t k) {
-  for (const std::size_t drawn : rng.sample_without_replacement(
-           fed.clients, fl::participant_count(fed)))
-    if (drawn == k) return true;
-  return false;
-}
-
-void check_transport_supported(const fl::FedMsConfig& fed) {
-  const auto reject = [](bool bad, const char* what) {
-    if (bad)
-      throw std::runtime_error(
-          std::string("transport engine does not support ") + what);
-  };
-  // Uniform partial participation is derivable per node (every process
-  // replays the shared "participation" seed stream); power-of-choice is
-  // not — it ranks clients by losses only the simulator sees globally.
-  reject(fed.participation < 1.0 && fed.participation_strategy == "highloss",
-         "participation_strategy=highloss (loss-based selection needs "
-         "global loss state; rerun with --participation-strategy uniform)");
-  reject(fed.network_loss_rate > 0.0,
-         "simulated link loss (use transport corruption injection)");
-}
-
 std::string to_report_text(const NodeReport& report) {
   std::ostringstream out;
   out << "fedms-node-report v1\n";
   out << "role " << kind_name(report.self.kind) << '\n';
   out << "index " << report.self.index << '\n';
   out << "rounds " << report.rounds << '\n';
-  out << "final_accuracy " << exact_double(report.final_accuracy) << '\n';
-  out << "final_eval_loss " << exact_double(report.final_eval_loss) << '\n';
+  out << "final_accuracy " << core::exact_double(report.final_accuracy) << '\n';
+  out << "final_eval_loss " << core::exact_double(report.final_eval_loss) << '\n';
   out << "model_crc " << report.model_crc << '\n';
   write_links(out, "sent", report.stats.sent);
   write_links(out, "recv", report.stats.received);
@@ -206,7 +175,6 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
                            const fl::FedMsConfig& fed, std::size_t k,
                            double timeout_seconds) {
   fed.validate();
-  check_transport_supported(fed);
   FEDMS_EXPECTS(k < fed.clients);
   FEDMS_EXPECTS(transport.self() == net::client_id(k));
 
@@ -237,8 +205,7 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
     // untouched, as in the simulator) but still round-syncs so the PSs'
     // barriers close, and still collects + filters broadcasts.
     const bool participates =
-        fed.participation >= 1.0 ||
-        client_participates(fed, participation_rng, k);
+        fl::draw_participants(fed, participation_rng)[k];
 
     // ---- Stage 1: local training ----
     if (participates) {
@@ -305,7 +272,6 @@ NodeReport run_server_node(Transport& transport,
                            const fl::FedMsConfig& fed, std::size_t p,
                            double timeout_seconds) {
   fed.validate();
-  check_transport_supported(fed);
   FEDMS_EXPECTS(p < fed.servers);
   FEDMS_EXPECTS(transport.self() == net::server_id(p));
 
@@ -396,7 +362,6 @@ TransportRunSummary run_transport_experiment(
     const fl::WorkloadConfig& workload, const fl::FedMsConfig& fed,
     InMemoryHub& hub, double timeout_seconds) {
   fed.validate();
-  check_transport_supported(fed);
   const fl::Workload data = fl::make_workload(workload, fed);
 
   // All endpoints registered before any node thread starts, so no send

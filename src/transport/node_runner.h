@@ -47,21 +47,6 @@
 
 namespace fedms::transport {
 
-// Throws std::runtime_error when (fed) uses a feature the transport
-// engine does not replicate (loss-ranked participation, simulated link
-// loss).
-void check_transport_supported(const fl::FedMsConfig& fed);
-
-// Replays the simulator's uniform participation draw for one round and
-// reports whether client k is in the active set. The "participation"
-// stream is sequential across rounds, so every client calls this exactly
-// once per round, in round order — and only when participation < 1.0
-// (the simulator leaves the stream untouched at full participation).
-// Exported so the RNG stream-discipline tests can pin sim-vs-node draw
-// parity (the PR 4 wire-parity guarantee) at the stream level.
-bool client_participates(const fl::FedMsConfig& fed, core::Rng& rng,
-                         std::size_t k);
-
 struct NodeReport {
   net::NodeId self;
   std::uint64_t rounds = 0;

@@ -199,13 +199,14 @@ def main():
     # and they cannot absorb dropped frames.
     expect_error(sim, ["--wire-encoding", "delta+int8", "--runtime", "async"],
                  ["--wire-encoding", "requires --runtime sync"], one_line=True)
-    # Extensions the event-driven engine does not model are CLI errors,
-    # not contract aborts. (Byzantine clients and DP run in every engine.)
-    expect_error(sim, ["--runtime", "async", "--participation", "0.5"],
-                 ["--participation", "requires --runtime sync"],
-                 one_line=True)
-    expect_error(sim, ["--runtime", "async", "--loss-rate", "0.1"],
-                 ["--loss-rate requires --runtime sync"], one_line=True)
+    # Message loss is the async engine's fault plan (drop=<p>), and
+    # participation is always a uniform draw: the sync-only loss rate and
+    # the participation strategy are gone from both tools.
+    expect_error(sim, ["--loss-rate", "0.1"],
+                 ["unknown flag", "--loss-rate"], one_line=True)
+    expect_error(node, ["--mode", "launch", "--participation-strategy",
+                        "uniform"],
+                 ["unknown flag", "--participation-strategy"], one_line=True)
     expect_error(node, ["--mode", "launch", "--wire-encoding", "delta+int8",
                         "--corrupt-rate", "0.1"],
                  ["--corrupt-rate", "desynchronize"])

@@ -2,13 +2,19 @@
 // and unterminated strings are hard one-line errors (scenario files are
 // hand-edited; silently keeping the last duplicate would make a typo'd
 // override vanish), and members() exposes objects in source order for
-// strict schema validators.
+// strict schema validators. Also the writer helpers: json_escape,
+// json_double and exact_double.
 #include "core/json_min.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
+
+#include "core/rounding.h"
 
 namespace fedms::core {
 namespace {
@@ -68,6 +74,38 @@ TEST(JsonMin, MembersPreservesSourceOrder) {
 TEST(JsonMin, MembersThrowsOnNonObject) {
   const Json json = Json::parse("[1, 2]");
   EXPECT_THROW(json.members(), std::runtime_error);
+}
+
+TEST(JsonEscape, HandlesSpecials) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+}
+
+TEST(JsonDouble, ShortestTextUnderEveryModeAndNullWhenNotFinite) {
+  for (std::size_t m = 0; m < kRoundingModeCount; ++m) {
+    const ScopedRoundingMode mode(all_rounding_modes()[m]);
+    SCOPED_TRACE(rounding_mode_name(all_rounding_modes()[m]));
+    EXPECT_EQ(json_double(0.05), "0.05");
+    EXPECT_EQ(json_double(0.1), "0.1");
+    EXPECT_EQ(json_double(0.01077696), "0.01077696");
+    EXPECT_EQ(json_double(std::nan("")), "null");
+    EXPECT_EQ(json_double(std::numeric_limits<double>::infinity()), "null");
+  }
+}
+
+TEST(ExactDouble, HexFloatRoundTripsBitForBitUnderEveryMode) {
+  for (std::size_t m = 0; m < kRoundingModeCount; ++m) {
+    const ScopedRoundingMode mode(all_rounding_modes()[m]);
+    SCOPED_TRACE(rounding_mode_name(all_rounding_modes()[m]));
+    for (const double value : {0.3, 1.0 / 3.0, -2.5e-300, 0.0}) {
+      const std::string text = exact_double(value);
+      EXPECT_NE(text.find("0x"), std::string::npos) << text;
+      EXPECT_EQ(std::strtod(text.c_str(), nullptr), value) << text;
+    }
+  }
 }
 
 }  // namespace

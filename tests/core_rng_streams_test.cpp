@@ -13,9 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
-#include "fl/config.h"
+#include "fl/fedms.h"
 #include "testing/test_seed.h"
-#include "transport/node_runner.h"
 
 namespace {
 
@@ -77,9 +76,9 @@ TEST(RngStreams, DifferentRootsDiverge) {
             draw(other.make_rng("participation"), 16));
 }
 
-// The simulator's uniform participation draw, replicated exactly as
-// FedMsRun::round() performs it (one sequential "participation" stream,
-// sample_without_replacement per round).
+// The uniform participation draw spelled out (one sequential
+// "participation" stream, sample_without_replacement per round):
+// fl::draw_participants must reproduce it for every engine.
 std::vector<std::vector<bool>> sim_participation(const fedms::fl::FedMsConfig& fed) {
   Rng rng = SeedSequence(fed.seed).make_rng("participation");
   const std::size_t active = std::max<std::size_t>(
@@ -113,7 +112,7 @@ TEST(RngStreams, NodeParticipationMatchesSimulatorBitForBit) {
   for (std::size_t k = 0; k < fed.clients; ++k) {
     Rng own = SeedSequence(fed.seed).make_rng("participation");
     for (std::size_t r = 0; r < fed.rounds; ++r) {
-      EXPECT_EQ(fedms::transport::client_participates(fed, own, k), sim[r][k])
+      EXPECT_EQ(fedms::fl::draw_participants(fed, own)[k], sim[r][k])
           << "node " << k << " disagrees with simulator at round " << r;
     }
   }

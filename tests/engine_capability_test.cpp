@@ -1,9 +1,10 @@
 // Engine capability matrix: every feature row × {async with an empty
 // fault plan, transport over the in-memory hub} either reproduces the
 // round-synchronous engine bit for bit — per-client final-model CRCs,
-// final evaluation, uplink/downlink bytes — or fails with that engine's
-// documented rejection. The table below is the list of gaps; a feature
-// that is silently unavailable in one engine cannot hide here.
+// train loss, final evaluation, uplink/downlink bytes — or fails with that
+// engine's documented rejection. The table below is the list of gaps (one
+// left: stateful wire encodings in async); a feature that is silently
+// unavailable in one engine cannot hide here.
 //
 // The multi-process run (clients on SocketTransport, every PS an
 // event-loop server) is left to the `fedms_node --verify` smokes
@@ -90,17 +91,24 @@ const std::vector<Row>& rows() {
        [](fl::FedMsConfig& fed) { fed.wire_encoding = "delta+int8"; },
        gap("Precondition"), kRuns},
       {"participation",
-       [](fl::FedMsConfig& fed) { fed.participation = 0.5; },
-       gap("Precondition"), kRuns},
-      {"highloss",
+       [](fl::FedMsConfig& fed) { fed.participation = 0.5; }, kRuns, kRuns},
+      // One shared participation draw under the other per-client features:
+      // skipped clients neither forge, add noise nor encode an upload.
+      {"participation_byzantine_clients_dp",
        [](fl::FedMsConfig& fed) {
          fed.participation = 0.5;
-         fed.participation_strategy = "highloss";
+         fed.byzantine_clients = 1;
+         fed.client_attack = "signflip";
+         fed.dp_clip_norm = 1.0;
+         fed.dp_noise_multiplier = 0.01;
        },
-       gap("Precondition"), gap("participation_strategy=highloss")},
-      {"network_loss_rate",
-       [](fl::FedMsConfig& fed) { fed.network_loss_rate = 0.1; },
-       gap("Precondition"), gap("simulated link loss")},
+       kRuns, kRuns},
+      {"participation_int8",
+       [](fl::FedMsConfig& fed) {
+         fed.participation = 0.75;
+         fed.wire_encoding = "int8";
+       },
+       kRuns, kRuns},
       {"eval_clients", [](fl::FedMsConfig& fed) { fed.eval_clients = 2; },
        kRuns, kRuns},
       // PS-side features: the robust PS rules, a silent PS, an attack that
@@ -196,6 +204,7 @@ TEST_P(EngineCapability, Async) {
   for (std::size_t r = 0; r < result.rounds.size(); ++r) {
     const fl::RoundRecord& async_round = result.rounds[r].base;
     const fl::RoundRecord& sync_round = sync.result.rounds[r];
+    EXPECT_EQ(async_round.train_loss, sync_round.train_loss);
     EXPECT_EQ(async_round.eval_accuracy, sync_round.eval_accuracy);
     EXPECT_EQ(async_round.eval_loss, sync_round.eval_loss);
     EXPECT_EQ(async_round.uplink_bytes, sync_round.uplink_bytes);

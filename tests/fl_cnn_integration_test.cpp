@@ -81,8 +81,8 @@ TEST(CnnFederated, MobileNetPayloadIncludesBatchNormBuffers) {
 
 // Randomized-configuration robustness: any *valid* configuration must run
 // to completion with finite telemetry — no contract violations, no NaNs —
-// whatever combination of attack, filter, upload, codec, and fault
-// injection the sweep lands on.
+// whatever combination of attack, filter, upload, codec and participation
+// the sweep lands on.
 class RandomConfig : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomConfig, AnyValidConfigRunsClean) {
@@ -109,7 +109,6 @@ TEST_P(RandomConfig, AnyValidConfigRunsClean) {
   fed.upload = uploads[rng.uniform_index(4)];
   const char* encodings[] = {"f32", "fp16", "int8"};
   fed.wire_encoding = encodings[rng.uniform_index(3)];
-  fed.network_loss_rate = rng.uniform(0.0, 0.2);
   fed.participation = rng.uniform(0.5, 1.0);
   fed.rounds = 3;
   fed.eval_every = 3;

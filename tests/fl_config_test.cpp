@@ -46,12 +46,6 @@ TEST(ConfigDeath, RejectsZeroClientsOrServers) {
   EXPECT_DEATH(config.validate(), "Precondition");
 }
 
-TEST(ConfigDeath, RejectsBadLossRate) {
-  FedMsConfig config;
-  config.network_loss_rate = 1.0;
-  EXPECT_DEATH(config.validate(), "Precondition");
-}
-
 TEST(ConfigDeath, RejectsUnknownPlacement) {
   FedMsConfig config;
   config.byzantine_placement = "middle";

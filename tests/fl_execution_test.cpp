@@ -115,43 +115,6 @@ TEST(UploadFactory, ParsesRoundRobin) {
   EXPECT_EQ(make_upload_strategy("roundrobin")->name(), "roundrobin");
 }
 
-TEST(PowerOfChoice, SelectsHighestLossClientsAfterWarmup) {
-  // With highloss selection the clients with the largest previous-round
-  // loss train; infinity-initialized untouched clients get explored first,
-  // so after enough rounds every client has trained at least once.
-  WorkloadConfig workload = tiny_workload();
-  FedMsConfig fed = tiny_fed();
-  fed.participation = 0.3;
-  fed.participation_strategy = "highloss";
-  fed.rounds = 12;
-  fed.eval_every = 12;
-  const RunResult result = run_experiment(workload, fed);
-  EXPECT_GT(*result.final_eval().eval_accuracy, 0.5);
-  for (const auto& round : result.rounds)
-    EXPECT_EQ(round.uplink_messages, 3u);  // 0.3 * 10 clients
-}
-
-TEST(PowerOfChoice, DiffersFromUniformSelection) {
-  WorkloadConfig workload = tiny_workload();
-  FedMsConfig fed = tiny_fed();
-  fed.participation = 0.3;
-  fed.rounds = 10;
-  fed.eval_every = 10;
-  fed.participation_strategy = "uniform";
-  const RunResult uniform = run_experiment(workload, fed);
-  fed.participation_strategy = "highloss";
-  const RunResult biased = run_experiment(workload, fed);
-  // Different active sets -> different trajectories.
-  EXPECT_NE(uniform.rounds.back().train_loss,
-            biased.rounds.back().train_loss);
-}
-
-TEST(PowerOfChoiceDeath, RejectsUnknownStrategy) {
-  FedMsConfig fed = tiny_fed();
-  fed.participation_strategy = "roulette";
-  EXPECT_DEATH(fed.validate(), "Precondition");
-}
-
 TEST(HeterogeneousLinks, StragglerStretchesStageTime) {
   const WorkloadConfig workload = tiny_workload();
   FedMsConfig fed = tiny_fed();

@@ -199,20 +199,6 @@ TEST(FedMs, EdgeOfTrimAttackIsBoundedNotFiltered) {
             *clean.final_eval().eval_accuracy + 0.05);
 }
 
-TEST(FedMs, SurvivesNetworkLoss) {
-  FedMsConfig fed = small_fed();
-  fed.network_loss_rate = 0.15;
-  fed.rounds = 10;
-  fed.eval_every = 10;
-  const RunResult result = run_experiment(small_workload(), fed);
-  // Some messages were dropped...
-  EXPECT_GT(result.uplink_total.dropped_messages +
-                result.downlink_total.dropped_messages,
-            0u);
-  // ...but training still progresses.
-  EXPECT_GT(*result.final_eval().eval_accuracy, 0.5);
-}
-
 TEST(FedMs, RandomPlacementSpreadsByzantineServers) {
   FedMsConfig fed = small_fed();
   fed.byzantine = 2;

@@ -4,6 +4,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+
+#include "core/json_min.h"
+#include "core/rounding.h"
+#include "runtime/telemetry.h"
 
 namespace fedms::metrics {
 namespace {
@@ -30,14 +35,6 @@ fl::RunResult sample_run() {
   result.downlink_total.bytes = 12000;
   result.simulated_comm_seconds = 0.09;
   return result;
-}
-
-TEST(JsonEscape, HandlesSpecials) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 TEST(JsonExport, ContainsConfigAndRounds) {
@@ -87,6 +84,73 @@ TEST(JsonExport, BalancedBracesAndQuotes) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_EQ(quotes % 2, 0u);
+}
+
+// Both run-JSON writers route every number through core::json_double and
+// every string through core::json_escape: the same run writes the same
+// bytes under all four fenv rounding modes (a "%.10g" writer prints 0.05
+// as 0.05000000001 under upward), and core::Json parses the document back
+// to the exact values.
+TEST(JsonExport, BothWritersAreModeProofAndParse) {
+  fl::FedMsConfig config;
+  config.participation = 0.5;
+  config.attack = "quote\"back\\slash";
+  fl::RunResult run = sample_run();
+  run.rounds[0].upload_seconds = 0.01077696;
+
+  runtime::RuntimeOptions options;
+  options.compute_seconds = 0.05;
+  options.retry_backoff_seconds = 0.1;
+  options.faults = runtime::FaultPlan::parse("crash=1@2;drop=0.1");
+  runtime::AsyncRunResult async_run;
+  for (const fl::RoundRecord& base : run.rounds) {
+    runtime::AsyncRoundRecord record;
+    record.base = base;
+    record.start_seconds = 0.3 * double(base.round);
+    record.end_seconds = record.start_seconds + 0.3;
+    record.mean_candidates = 2.0 / 3.0;
+    async_run.rounds.push_back(record);
+  }
+  async_run.virtual_seconds = 0.9;
+  async_run.trace_hash = 0x5668ee332f5d91d5ULL;
+
+  const auto write_both = [&] {
+    std::ostringstream sync_json, async_json;
+    write_run_json(sync_json, config, run);
+    runtime::write_async_run_json(async_json, config, options, async_run);
+    return std::make_pair(sync_json.str(), async_json.str());
+  };
+  const auto nearest = write_both();
+  for (std::size_t m = 0; m < core::kRoundingModeCount; ++m) {
+    const core::ScopedRoundingMode mode(core::all_rounding_modes()[m]);
+    SCOPED_TRACE(core::rounding_mode_name(core::all_rounding_modes()[m]));
+    const auto written = write_both();
+    EXPECT_EQ(written.first, nearest.first);
+    EXPECT_EQ(written.second, nearest.second);
+  }
+
+  const core::Json sync_doc = core::Json::parse(nearest.first);
+  EXPECT_EQ(sync_doc.at("config").at("participation").as_number(), 0.5);
+  EXPECT_EQ(sync_doc.at("config").at("attack").as_string(), config.attack);
+  EXPECT_EQ(sync_doc.at("rounds").items()[0].at("upload_seconds").as_number(),
+            0.01077696);
+  EXPECT_EQ(sync_doc.at("rounds").items()[0].at("eval_accuracy").type(),
+            core::Json::Type::kNull);
+
+  const core::Json async_doc = core::Json::parse(nearest.second);
+  EXPECT_EQ(async_doc.at("config").at("participation").as_number(), 0.5);
+  EXPECT_EQ(async_doc.at("config").at("attack").as_string(), config.attack);
+  const core::Json& parsed_options = async_doc.at("options");
+  EXPECT_EQ(parsed_options.at("compute_seconds").as_number(), 0.05);
+  EXPECT_EQ(parsed_options.at("retry_backoff_seconds").as_number(), 0.1);
+  EXPECT_EQ(async_doc.at("fault_plan").as_string(),
+            options.faults.to_string());
+  EXPECT_EQ(async_doc.at("rounds").items()[2].at("mean_candidates")
+                .as_number(),
+            2.0 / 3.0);
+  EXPECT_EQ(async_doc.at("rounds").items()[2].at("eval_accuracy").as_number(),
+            0.75);
+  EXPECT_EQ(async_doc.at("totals").at("virtual_seconds").as_number(), 0.9);
 }
 
 TEST(JsonExport, SaveToFileThrowsOnBadPath) {

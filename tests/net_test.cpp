@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/rng.h"
 #include "net/latency.h"
 #include "net/message.h"
 #include "net/node_id.h"
@@ -89,17 +90,6 @@ TEST(SimNetwork, ResetStatsClearsCounters) {
   EXPECT_EQ(net.drain_inbox(server_id(0)).size(), 1u);
 }
 
-TEST(SimNetwork, LossRateDropsApproximatelyThatFraction) {
-  SimNetwork net{core::Rng(42)};
-  net.set_loss_rate(0.3);
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) net.send(upload(0, 0, 1));
-  const double delivered = double(net.uplink().messages);
-  const double dropped = double(net.uplink().dropped_messages);
-  EXPECT_EQ(delivered + dropped, n);
-  EXPECT_NEAR(dropped / n, 0.3, 0.02);
-}
-
 TEST(SimNetwork, ZeroLossDeliversEverything) {
   SimNetwork net;
   for (int i = 0; i < 100; ++i) net.send(upload(0, 0, 1));
@@ -107,47 +97,11 @@ TEST(SimNetwork, ZeroLossDeliversEverything) {
   EXPECT_EQ(net.uplink().dropped_messages, 0u);
 }
 
-TEST(SimNetworkDeath, RejectsFullLoss) {
-  SimNetwork net;
-  EXPECT_DEATH(net.set_loss_rate(1.0), "Precondition");
-}
-
 TEST(SimNetwork, DirectionForBillsBySenderKind) {
   TrafficStats up, down;
   EXPECT_EQ(&SimNetwork::direction_for(client_id(0), up, down), &up);
   EXPECT_EQ(&SimNetwork::direction_for(client_id(7), up, down), &up);
   EXPECT_EQ(&SimNetwork::direction_for(server_id(0), up, down), &down);
-}
-
-TEST(SimNetwork, DropsAreAttributedToTheSendersDirection) {
-  // The attribution contract: a lost message is billed to the *sender's*
-  // direction, and contributes to neither delivered messages nor bytes.
-  SimNetwork net{core::Rng(7)};
-  net.set_loss_rate(0.5);
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) {
-    net.send(upload(0, 0, 4));  // client -> PS
-    Message down;
-    down.from = server_id(0);
-    down.to = client_id(0);
-    down.kind = MessageKind::kModelBroadcast;
-    down.payload.assign(4, 0.0f);
-    net.send(std::move(down));
-  }
-  // Every loss shows up in exactly its own direction's counter.
-  EXPECT_EQ(net.uplink().messages + net.uplink().dropped_messages,
-            std::uint64_t(n));
-  EXPECT_EQ(net.downlink().messages + net.downlink().dropped_messages,
-            std::uint64_t(n));
-  EXPECT_GT(net.uplink().dropped_messages, 0u);
-  EXPECT_GT(net.downlink().dropped_messages, 0u);
-  // Dropped messages were never billed as traffic.
-  const std::size_t each = wire_size(upload(0, 0, 4));
-  EXPECT_EQ(net.uplink().bytes, net.uplink().messages * each);
-  EXPECT_EQ(net.downlink().bytes, net.downlink().messages * each);
-  // ...and never delivered.
-  EXPECT_EQ(net.drain_inbox(server_id(0)).size(), net.uplink().messages);
-  EXPECT_EQ(net.drain_inbox(client_id(0)).size(), net.downlink().messages);
 }
 
 TEST(Message, ControlKindsHaveNames) {

@@ -6,11 +6,15 @@
 //   3. crashing more than P-2B servers triggers the last-feasible-model
 //      fallback instead of an exception.
 //   4. without faults, the stateless wire encodings (fp16, int8) keep the
-//      engine bit-identical to the synchronous loop.
+//      engine bit-identical to the synchronous loop;
+//   5. a dropped message is billed to its sender's direction only;
+//   6. partial participation: a non-participant only filters, at t_filter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/convex.h"
@@ -280,13 +284,90 @@ TEST(AsyncFedMsDeath, RejectsStatefulWireEncodings) {
       "Precondition");
 }
 
-TEST(AsyncFedMsDeath, RejectsUnsupportedExtensions) {
-  fl::FedMsConfig fed = base_config(1);
-  fed.network_loss_rate = 0.1;  // expressed via FaultPlan::drop_rate
+TEST(AsyncFedMs, DropsAreBilledToTheSendersDirection) {
+  // The attribution contract shared with net::SimNetwork::direction_for: a
+  // lost message is billed to the *sender's* direction, and contributes to
+  // neither delivered messages nor bytes.
+  fl::FedMsConfig fed = base_config(3);
+  fed.rounds = 4;
+  fed.attack = "noise";  // every PS sends to every client
+  RuntimeOptions options;
+  options.max_retries = 0;  // only uploads and broadcasts on the wire
+  options.faults = FaultPlan::parse("drop=0.3");
   const data::QuadraticProblem problem = make_problem(fed.clients, 42);
-  EXPECT_DEATH(
-      AsyncFedMsRun(fed, RuntimeOptions{}, make_learners(problem, fed)),
-      "Precondition");
+  AsyncFedMsRun run(fed, options, make_learners(problem, fed));
+  const AsyncRunResult result = run.run();
+
+  // Sparse upload: K uploads and P·K broadcasts attempted per round.
+  const std::uint64_t rounds = fed.rounds;
+  const net::TrafficStats& up = result.uplink_total;
+  const net::TrafficStats& down = result.downlink_total;
+  EXPECT_EQ(up.messages + up.dropped_messages, fed.clients * rounds);
+  EXPECT_EQ(down.messages + down.dropped_messages,
+            fed.servers * fed.clients * rounds);
+  EXPECT_GT(up.dropped_messages, 0u);
+  EXPECT_GT(down.dropped_messages, 0u);
+  std::uint64_t dropped = 0;
+  for (const AsyncRoundRecord& record : result.rounds)
+    dropped += record.messages_dropped;
+  EXPECT_EQ(dropped, up.dropped_messages + down.dropped_messages);
+  // Dropped messages were never billed as bytes.
+  net::Message model;
+  model.payload.assign(problem.dimension(), 0.0f);
+  const std::size_t each = net::wire_size(model);
+  EXPECT_EQ(up.bytes, up.messages * each);
+  EXPECT_EQ(down.bytes, down.messages * each);
+}
+
+TEST(AsyncFedMs, NonParticipantsFilterAtTheSharedDeadline) {
+  // Partial participation keeps the synchronous loop's semantics: a client
+  // outside the round's draw neither trains nor uploads, but still
+  // receives every broadcast and filters, at t0 + upload window + timeout.
+  fl::FedMsConfig fed = base_config(9);
+  fed.rounds = 3;
+  fed.participation = 0.5;
+  RuntimeOptions options;
+  options.record_trace = true;
+  const data::QuadraticProblem problem = make_problem(fed.clients, 42);
+  AsyncFedMsRun run(fed, options, make_learners(problem, fed));
+  const AsyncRunResult result = run.run();
+
+  core::Rng rng = core::SeedSequence(fed.seed).make_rng("participation");
+  for (std::uint64_t r = 0; r < fed.rounds; ++r) {
+    const std::vector<bool> participates = fl::draw_participants(fed, rng);
+    const AsyncRoundRecord& record = result.rounds[r];
+    EXPECT_EQ(record.base.uplink_messages, fl::participant_count(fed));
+    EXPECT_EQ(record.min_candidates, fed.servers);
+    const double t_filter = record.start_seconds +
+                            options.upload_window_seconds +
+                            options.broadcast_timeout_seconds;
+    for (std::size_t k = 0; k < fed.clients; ++k) {
+      SCOPED_TRACE("round " + std::to_string(r) + " client " +
+                   std::to_string(k));
+      const std::string node = net::to_string(net::client_id(k));
+      int trained = 0, filtered = 0;
+      double filter_time = -1.0;
+      for (const std::string& line : result.trace) {
+        unsigned long long round = 0;
+        double time = 0.0;
+        char event[64] = {0}, link[128] = {0};
+        ASSERT_EQ(std::sscanf(line.c_str(), "r%llu t=%lf %63s %127s", &round,
+                              &time, event, link),
+                  4);
+        if (round != r || std::string(link) != node + "->" + node) continue;
+        if (std::string(event) == "trained") ++trained;
+        if (std::string(event) == "filter") {
+          ++filtered;
+          filter_time = time;
+        }
+      }
+      EXPECT_EQ(trained, participates[k] ? 1 : 0);
+      EXPECT_EQ(filtered, 1);
+      if (!participates[k]) {
+        EXPECT_NEAR(filter_time, t_filter, 1e-8);
+      }
+    }
+  }
 }
 
 }  // namespace

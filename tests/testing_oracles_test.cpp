@@ -135,6 +135,43 @@ TEST(TraceOracle, RejectsMissingTrainingForARound) {
   EXPECT_NE(result->detail.find("client#1"), std::string::npos);
 }
 
+TEST(TraceOracle, NonParticipantFiltersUntrainedExactlyOnce) {
+  // Client 1 sits round 0 out: it receives and filters, never trains.
+  const std::vector<std::vector<bool>> participants = {{true, false}};
+  std::vector<std::string> trace = good_trace();
+  trace.push_back("r0 t=0.090000000 filter client#1->client#1");
+  EXPECT_EQ(check_trace_causality(trace, 2, 1, nullptr, &participants),
+            std::nullopt);
+
+  // Training outside the draw is a violation ...
+  std::vector<std::string> trained = trace;
+  trained.insert(trained.begin(),
+                 "r0 t=0.050000000 trained client#1->client#1");
+  auto result = check_trace_causality(trained, 2, 1, nullptr, &participants);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_NE(result->detail.find("client#1 trained 1 times (expected 0)"),
+            std::string::npos);
+
+  // ... and so is skipping the filter.
+  trace.pop_back();
+  result = check_trace_causality(trace, 2, 1, nullptr, &participants);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_NE(result->detail.find("client#1 filtered/fell back 0 times"),
+            std::string::npos);
+}
+
+TEST(TraceOracle, ParticipantStillTrainsBeforeItFilters) {
+  const std::vector<std::vector<bool>> participants = {{true}};
+  const std::vector<std::string> trace = {
+      "r0 t=0.010000000 filter client#0->client#0",
+      "r0 t=0.050000000 trained client#0->client#0",
+  };
+  const auto result =
+      check_trace_causality(trace, 1, 1, nullptr, &participants);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_NE(result->detail.find("before training"), std::string::npos);
+}
+
 TEST(TraceOracle, DuplicatedDeliveryNeedsDuplicatedSend) {
   auto trace = good_trace();
   // send-dup counts as an extra send, so two deliveries are fine.

@@ -58,6 +58,7 @@ TEST(FuzzSchedule, GeneratorProducesValidExperiments) {
   SCOPED_TRACE(fedms::testing::seed_repro_hint(root, "FuzzSchedule"));
 
   std::size_t kinds[3] = {0, 0, 0};
+  std::size_t partial_parity = 0;
   for (std::uint64_t i = 0; i < 400; ++i) {
     const FuzzSchedule s = generate_schedule(root + i);
     SCOPED_TRACE("schedule seed " + std::to_string(root + i));
@@ -73,11 +74,10 @@ TEST(FuzzSchedule, GeneratorProducesValidExperiments) {
     }
 
     // Scripted events only appear on fault schedules; partial
-    // participation only on transport schedules.
+    // participation only on the fault-free (parity, transport) ones.
     if (s.kind != ScheduleKind::kFault) {
       EXPECT_TRUE(s.events.empty());
-    }
-    if (s.kind != ScheduleKind::kTransport) {
+    } else {
       EXPECT_EQ(s.participation, 1.0);
     }
     for (const ScheduleEvent& e : s.events) {
@@ -86,11 +86,15 @@ TEST(FuzzSchedule, GeneratorProducesValidExperiments) {
       EXPECT_NE(e.from_server, e.to_server);  // uploads or broadcasts only
     }
     kinds[std::size_t(s.kind)]++;
+    if (s.kind == ScheduleKind::kParity && s.participation < 1.0)
+      ++partial_parity;
   }
-  // The generator must exercise all three execution paths.
+  // The generator must exercise all three execution paths, and the
+  // sync/async parity oracle must see partial participation.
   EXPECT_GT(kinds[0], 0u);
   EXPECT_GT(kinds[1], 0u);
   EXPECT_GT(kinds[2], 0u);
+  EXPECT_GT(partial_parity, 0u);
 }
 
 TEST(FuzzSchedule, JsonRoundTripIsLossless) {

@@ -142,47 +142,6 @@ TEST(TransportEngine, MatchesSimulatorUnderPartialParticipation) {
   expect_matches_sim(small_workload(), fed);
 }
 
-TEST(TransportEngine, RejectsUnsupportedConfigs) {
-  fl::FedMsConfig fed = small_fed();
-  fed.network_loss_rate = 0.1;
-  EXPECT_THROW(check_transport_supported(fed), std::runtime_error);
-  // Byzantine clients and DP run in the shared client step, so the
-  // transport engine takes them like the simulator does.
-  fed = small_fed();
-  fed.byzantine_clients = 1;
-  fed.client_attack = "signflip";
-  EXPECT_NO_THROW(check_transport_supported(fed));
-  fed.dp_clip_norm = 1.0;
-  EXPECT_NO_THROW(check_transport_supported(fed));
-  // Only the first eval_clients client nodes evaluate, and the summary
-  // averages them, as the simulator does.
-  fed = small_fed();
-  fed.eval_clients = 2;
-  EXPECT_NO_THROW(check_transport_supported(fed));
-
-  // Uniform partial participation is supported (the shared seed stream is
-  // replayed per node); loss-ranked selection is not — and the error
-  // must name the flag that fixes it.
-  fed = small_fed();
-  fed.participation = 0.5;
-  EXPECT_NO_THROW(check_transport_supported(fed));
-  fed.participation_strategy = "highloss";
-  try {
-    check_transport_supported(fed);
-    FAIL() << "highloss participation should be rejected";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("--participation-strategy"),
-              std::string::npos)
-        << "rejection must tell the user which flag to change: "
-        << error.what();
-  }
-  // Full participation makes the strategy irrelevant (never drawn).
-  fed.participation = 1.0;
-  EXPECT_NO_THROW(check_transport_supported(fed));
-
-  EXPECT_NO_THROW(check_transport_supported(small_fed()));
-}
-
 TEST(NodeReport, TextRoundTripIsExact) {
   NodeReport report;
   report.self = net::client_id(7);

@@ -42,6 +42,7 @@
 #include "byz/attack.h"
 #include "core/cli.h"
 #include "core/contracts.h"
+#include "core/json_min.h"
 #include "core/rounding.h"
 #include "core/scratch_dir.h"
 #include "core/thread_pool.h"
@@ -60,19 +61,6 @@
 namespace {
 
 using namespace fedms;
-
-// C99 hexfloat: the child re-parses exactly the launcher's double, so the
-// per-node participation draws replay the verify simulator's bit-for-bit.
-// Hex-float text is exact in both directions — unlike decimal, where
-// snprintf/strtod obey the ambient fenv mode (to_string(0.3) becomes
-// "0.299999" under FE_TOWARDZERO) and a forked node would train with
-// different flag values than the parent's reference simulator.  EVERY
-// double forwarded through child_args must go through this.
-std::string exact_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
 
 struct NodeCli {
   fl::WorkloadConfig workload;
@@ -342,8 +330,12 @@ int run_inmem(const NodeCli& cli) {
   return 0;
 }
 
+// Every double goes through core::exact_double, so the child re-parses
+// exactly the launcher's value under any fenv mode and the per-node
+// participation draws replay the verify simulator's bit for bit.
 std::vector<std::string> child_args(const NodeCli& cli, const char* role,
                                     std::size_t index) {
+  using core::exact_double;
   std::vector<std::string> args = {
       "/proc/self/exe",
       "--mode", role,
@@ -372,7 +364,6 @@ std::vector<std::string> child_args(const NodeCli& cli, const char* role,
       "--seed", std::to_string(cli.fed.seed),
       "--eval-every", std::to_string(cli.fed.eval_every),
       "--participation", exact_double(cli.fed.participation),
-      "--participation-strategy", cli.fed.participation_strategy,
       "--samples", std::to_string(cli.workload.samples),
       "--alpha", exact_double(cli.workload.dirichlet_alpha),
       "--model", cli.workload.model,
@@ -528,8 +519,6 @@ int main(int argc, char** argv) {
   flags.add_double("participation", 1.0,
                    "fraction of clients active per round (uniform draws "
                    "replayed per node from the shared seed)");
-  flags.add_string("participation-strategy", "uniform",
-                   "uniform (highloss needs the simulator)");
   if (!flags.parse(argc, argv)) return 1;
 
   NodeCli cli;
@@ -563,7 +552,6 @@ int main(int argc, char** argv) {
   cli.fed.seed = std::uint64_t(flags.get_int("seed"));
   cli.fed.eval_every = std::size_t(flags.get_int("eval-every"));
   cli.fed.participation = flags.get_double("participation");
-  cli.fed.participation_strategy = flags.get_string("participation-strategy");
 
   cli.workload.samples = std::size_t(flags.get_int("samples"));
   cli.workload.dirichlet_alpha = flags.get_double("alpha");
@@ -592,7 +580,6 @@ int main(int argc, char** argv) {
     if (const std::string e = byz::check_attack_name(cli.fed.attack);
         !e.empty())
       throw std::runtime_error("--attack: " + e);
-    transport::check_transport_supported(cli.fed);
     if (cli.backend != "unix" && cli.backend != "tcp")
       throw std::runtime_error("--backend must be unix or tcp");
     // Transport numbers, before anything sizes a pool or a port from them.

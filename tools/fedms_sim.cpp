@@ -2,7 +2,8 @@
 //
 // Exposes every knob of the Fed-MS stack (topology, attacks on both sides,
 // defenses on both sides, upload strategy, wire encoding, participation,
-// network loss, data heterogeneity, model choice) and prints one CSV row
+// data heterogeneity, model choice, and --runtime async with its fault
+// plan for message loss and crashes) and prints one CSV row
 // per evaluated round, plus a run summary. With --repeats N it re-runs the
 // experiment under derived seeds and reports mean ± stddev of the final
 // accuracy — the entry point for scripting custom sweeps.
@@ -70,7 +71,6 @@ int main(int argc, char** argv) {
                    "delta+<base> | topk:<frac>");
   flags.add_double("participation", 1.0,
                    "fraction of clients active per round");
-  flags.add_double("loss-rate", 0.0, "network message loss probability");
   // Differential privacy.
   flags.add_double("dp-clip", 0.0,
                    "L2 clip norm for round updates (0 = DP off)");
@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
   fed.client_attack = flags.get_string("client-attack");
   fed.wire_encoding = flags.get_string("wire-encoding");
   fed.participation = flags.get_double("participation");
-  fed.network_loss_rate = flags.get_double("loss-rate");
   fed.dp_clip_norm = flags.get_double("dp-clip");
   fed.dp_noise_multiplier = flags.get_double("dp-noise");
   fed.worker_threads = std::size_t(flags.get_int("workers"));
@@ -191,8 +190,8 @@ int main(int argc, char** argv) {
   }
   const bool async = runtime_kind == "async";
   if (async) {
-    // Extensions the event-driven engine does not model: reject them here
-    // instead of letting the engine's preconditions abort.
+    // The one extension the event-driven engine does not model: reject it
+    // here instead of letting the engine's precondition abort.
     fl::WireEncodingSpec wire_spec;
     fl::parse_wire_encoding(fed.wire_encoding, &wire_spec);
     if (wire_spec.stateful())
@@ -200,11 +199,6 @@ int main(int argc, char** argv) {
                        "\" requires --runtime sync (the event-driven "
                        "engine has no per-link wire streams; use f32, fp16 "
                        "or int8)");
-    if (fed.participation < 1.0)
-      return cli_error("--participation below 1 requires --runtime sync");
-    if (fed.network_loss_rate > 0.0)
-      return cli_error("--loss-rate requires --runtime sync (use "
-                       "--fault-plan drop=<rate> with --runtime async)");
   }
   runtime::RuntimeOptions runtime_options;
   runtime_options.compute_seconds = flags.get_double("compute-time");
