@@ -141,7 +141,7 @@ echo "== wire-encoding smoke (--verify per encoding) =="
 # Every negotiated encoding must stay bit-for-bit against the simulator:
 # lossless f32 trivially, the lossy ones because the sender advances its
 # reference by decoding its own bytes (ARCHITECTURE.md "Wire encodings").
-for enc in f32 fp16 int8 topk:0.25 delta+int8; do
+for enc in f32 fp16 int8 topk:0.25 delta+f32 delta+fp16 delta+int8; do
   "$build/tools/fedms_node" --mode inmem --clients 4 --servers 2 \
     --byzantine 1 --rounds 2 --samples 400 --wire-encoding "$enc" \
     --verify > /dev/null

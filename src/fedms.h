@@ -54,7 +54,6 @@
 
 // The Fed-MS algorithm
 #include "fl/aggregators.h"
-#include "fl/compression.h"
 #include "fl/config.h"
 #include "fl/experiment.h"
 #include "fl/fedms.h"
@@ -63,6 +62,7 @@
 #include "fl/quadratic_learner.h"
 #include "fl/server.h"
 #include "fl/upload.h"
+#include "fl/wire_encoding.h"
 
 // Telemetry
 #include "metrics/classification.h"

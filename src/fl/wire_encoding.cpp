@@ -1,58 +1,44 @@
 #include "fl/wire_encoding.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/contracts.h"
+#include "core/crc32c.h"
 
 namespace fedms::fl {
 
 namespace {
 
-// Stateful payload layout (kTopK / kDelta*):
-//   [0]    flags: bit0 = keyframe (delta against zeros / k == count)
-//   [1..4] CRC32C of the stream's reference floats (0 on a keyframe)
-//   [5..]  body — delta: base-codec buffer of the diff
-//          topk: u32 count, u32 k, bitmap ceil(count/8), k fp16 values
+// The stateful prefix: flags byte + u32 reference CRC (layouts in the
+// header).
 constexpr std::size_t kStatefulHeaderBytes = 5;
 constexpr std::uint8_t kFlagKeyframe = 0x01;
 
-// CRC32C (Castagnoli), reflected — same polynomial as the frame trailer,
-// reimplemented here because fl sits below transport in the layer map.
-std::uint32_t crc32c_bytes(const std::uint8_t* data, std::size_t size) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit)
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82f63b78u : 0u);
-      t[i] = crc;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xffu];
-  return crc ^ 0xffffffffu;
+enum class Base { kF32, kFp16, kInt8 };
+
+Base base_of_tag(std::uint8_t tag) {
+  switch (tag) {
+    case kWireFormatFp16:
+    case kWireFormatDeltaFp16:
+      return Base::kFp16;
+    case kWireFormatInt8:
+    case kWireFormatDeltaInt8:
+      return Base::kInt8;
+    default:
+      return Base::kF32;
+  }
 }
 
-std::uint32_t reference_crc(const std::vector<float>& reference) {
-  return crc32c_bytes(reinterpret_cast<const std::uint8_t*>(reference.data()),
-                      reference.size() * sizeof(float));
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(std::uint8_t(v & 0xff));
-  out.push_back(std::uint8_t((v >> 8) & 0xff));
-  out.push_back(std::uint8_t((v >> 16) & 0xff));
-  out.push_back(std::uint8_t((v >> 24) & 0xff));
+void put_u32(std::uint8_t* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = std::uint8_t(v >> (8 * i));
 }
 
 std::uint32_t get_u32(const std::uint8_t* data) {
@@ -60,39 +46,142 @@ std::uint32_t get_u32(const std::uint8_t* data) {
          (std::uint32_t(data[2]) << 16) | (std::uint32_t(data[3]) << 24);
 }
 
-PayloadCodecPtr make_base_codec(const std::string& base) {
-  if (base == "f32") return std::make_unique<IdentityCodec>();
-  if (base == "fp16") return std::make_unique<Fp16Codec>();
-  if (base == "int8") return std::make_unique<Int8Codec>(kWireInt8Block);
-  FEDMS_EXPECTS(!"unknown wire-encoding base");
-  return nullptr;
+void put_f32(std::uint8_t* out, float v) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &v, 4);
+  put_u32(out, bits);
 }
 
-PayloadCodecPtr base_codec_for_tag(std::uint8_t tag) {
-  switch (tag) {
-    case kWireFormatFp16:
-    case kWireFormatDeltaFp16:
-      return std::make_unique<Fp16Codec>();
-    case kWireFormatInt8:
-    case kWireFormatDeltaInt8:
-      return std::make_unique<Int8Codec>(kWireInt8Block);
-    case kWireFormatDeltaF32:
-      return std::make_unique<IdentityCodec>();
-    default:
-      return nullptr;
+float get_f32(const std::uint8_t* data) {
+  const std::uint32_t bits = get_u32(data);
+  float v;
+  std::memcpy(&v, &bits, 4);
+  return v;
+}
+
+void put_half(std::uint8_t* out, float v) {
+  const std::uint16_t h = float_to_half(v);
+  out[0] = std::uint8_t(h & 0xff);
+  out[1] = std::uint8_t(h >> 8);
+}
+
+float get_half(const std::uint8_t* data) {
+  return half_to_float(
+      std::uint16_t(std::uint16_t(data[0]) | (std::uint16_t(data[1]) << 8)));
+}
+
+std::uint64_t int8_payload_size(std::uint64_t count, std::uint64_t block) {
+  const std::uint64_t blocks = (count + block - 1) / block;
+  return 8 + 4 * blocks + count;
+}
+
+std::size_t base_size(Base base, std::size_t count) {
+  switch (base) {
+    case Base::kF32:
+      return 4 + 4 * count;
+    case Base::kFp16:
+      return 4 + 2 * count;
+    case Base::kInt8:
+      return std::size_t(int8_payload_size(count, kWireInt8Block));
+  }
+  return 0;
+}
+
+// Writes the base payload of values[0, n) to `out`, which holds
+// base_size(base, n) bytes.
+void encode_base(Base base, const float* values, std::size_t n,
+                 std::uint8_t* out) {
+  put_u32(out, std::uint32_t(n));
+  switch (base) {
+    case Base::kF32:
+      for (std::size_t i = 0; i < n; ++i) put_f32(out + 4 + 4 * i, values[i]);
+      return;
+    case Base::kFp16:
+      for (std::size_t i = 0; i < n; ++i) put_half(out + 4 + 2 * i, values[i]);
+      return;
+    case Base::kInt8: {
+      put_u32(out + 4, std::uint32_t(kWireInt8Block));
+      std::uint8_t* p = out + 8;
+      for (std::size_t begin = 0; begin < n; begin += kWireInt8Block) {
+        const std::size_t end = std::min(begin + kWireInt8Block, n);
+        // Non-finite values get the reserved -128 code (decoded as NaN)
+        // and are excluded from the scale: an Inf must neither poison the
+        // whole block's scale nor silently saturate into a finite value.
+        float max_abs = 0.0f;
+        for (std::size_t i = begin; i < end; ++i)
+          if (std::isfinite(values[i]))
+            max_abs = std::max(max_abs, std::abs(values[i]));
+        const float scale = max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
+        put_f32(p, scale);
+        p += 4;
+        for (std::size_t i = begin; i < end; ++i) {
+          int q = -128;
+          if (std::isfinite(values[i]))
+            q = std::clamp(int(std::lround(values[i] / scale)), -127, 127);
+          *p++ = std::uint8_t(std::int8_t(q));
+        }
+      }
+      return;
+    }
   }
 }
 
-std::string validate_topk_body(const std::uint8_t* body, std::size_t size,
-                               bool keyframe) {
+// Length arithmetic of one base payload: "" when `size` is exactly what
+// its count (and block) fields announce.
+std::string check_base(Base base, const std::uint8_t* data, std::size_t size) {
+  if (size < 4) return "truncated wire payload";
+  const std::uint64_t count = get_u32(data);
+  std::uint64_t want = 4 + 4 * count;
+  if (base == Base::kFp16) want = 4 + 2 * count;
+  if (base == Base::kInt8) {
+    if (size < 8) return "truncated int8 payload";
+    const std::uint32_t block = get_u32(data + 4);
+    if (block == 0) return "int8 block size is zero";
+    want = int8_payload_size(count, block);
+  }
+  if (std::uint64_t(size) != want) return "wire payload length mismatch";
+  return "";
+}
+
+// Decodes a base payload that passed check_base into `out`, which holds
+// its count.
+void decode_base(Base base, const std::uint8_t* data, float* out) {
+  const std::size_t n = get_u32(data);
+  switch (base) {
+    case Base::kF32:
+      for (std::size_t i = 0; i < n; ++i) out[i] = get_f32(data + 4 + 4 * i);
+      return;
+    case Base::kFp16:
+      for (std::size_t i = 0; i < n; ++i) out[i] = get_half(data + 4 + 2 * i);
+      return;
+    case Base::kInt8: {
+      const std::size_t block = get_u32(data + 4);
+      const std::uint8_t* p = data + 8;
+      for (std::size_t begin = 0; begin < n; begin += block) {
+        const std::size_t end = std::min(begin + block, n);
+        const float scale = get_f32(p);
+        p += 4;
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::int8_t q = std::int8_t(*p++);
+          out[i] = q == -128 ? std::numeric_limits<float>::quiet_NaN()
+                             : float(q) * scale;
+        }
+      }
+      return;
+    }
+  }
+}
+
+std::string check_topk_body(const std::uint8_t* body, std::size_t size,
+                            bool keyframe) {
   if (size < 8) return "truncated topk payload";
   const std::uint32_t count = get_u32(body);
   const std::uint32_t k = get_u32(body + 4);
   if (k > count) return "topk k exceeds coordinate count";
   if (keyframe && k != count) return "topk keyframe must carry k == count";
-  const std::size_t bitmap_bytes = (std::size_t(count) + 7) / 8;
-  const std::size_t want = 8 + bitmap_bytes + 2 * std::size_t(k);
-  if (size != want) return "topk payload length mismatch";
+  const std::uint64_t bitmap_bytes = (std::uint64_t(count) + 7) / 8;
+  if (std::uint64_t(size) != 8 + bitmap_bytes + 2 * std::uint64_t(k))
+    return "topk payload length mismatch";
   const std::uint8_t* bitmap = body + 8;
   std::size_t set = 0;
   for (std::size_t i = 0; i < bitmap_bytes; ++i)
@@ -104,7 +193,76 @@ std::string validate_topk_body(const std::uint8_t* body, std::size_t size,
   return "";
 }
 
+bool is_stateless_tag(std::uint8_t tag) {
+  return tag == kWireFormatFp16 || tag == kWireFormatInt8;
+}
+
 }  // namespace
+
+// ---- binary16 ----
+
+std::uint16_t float_to_half(float value) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &value, 4);
+  const std::uint32_t sign = (bits >> 16) & 0x8000u;
+  const std::int32_t exponent =
+      std::int32_t((bits >> 23) & 0xffu) - 127 + 15;
+  std::uint32_t mantissa = bits & 0x7fffffu;
+
+  if (((bits >> 23) & 0xffu) == 0xffu) {  // inf / NaN
+    return std::uint16_t(sign | 0x7c00u | (mantissa ? 0x200u : 0u));
+  }
+  if (exponent >= 0x1f) {  // overflow -> inf
+    return std::uint16_t(sign | 0x7c00u);
+  }
+  if (exponent <= 0) {  // subnormal or zero
+    if (exponent < -10) return std::uint16_t(sign);
+    mantissa |= 0x800000u;  // implicit leading 1
+    const std::uint32_t shift = std::uint32_t(14 - exponent);
+    // Round to nearest even.
+    const std::uint32_t rounded =
+        (mantissa + (1u << (shift - 1)) +
+         ((mantissa >> shift) & 1u) - 1u) >>
+        shift;
+    return std::uint16_t(sign | rounded);
+  }
+  // Normal number: round mantissa from 23 to 10 bits, nearest-even.
+  const std::uint32_t round_bit = 1u << 12;
+  std::uint32_t half =
+      sign | (std::uint32_t(exponent) << 10) | (mantissa >> 13);
+  if ((mantissa & round_bit) &&
+      ((mantissa & (round_bit - 1)) || (half & 1u)))
+    ++half;  // may carry into the exponent, which is the correct behaviour
+  return std::uint16_t(half);
+}
+
+float half_to_float(std::uint16_t half) {
+  const std::uint32_t sign = std::uint32_t(half & 0x8000u) << 16;
+  const std::uint32_t exponent = (half >> 10) & 0x1fu;
+  std::uint32_t mantissa = half & 0x3ffu;
+  std::uint32_t bits;
+  if (exponent == 0) {
+    if (mantissa == 0) {
+      bits = sign;  // ±0
+    } else {
+      // Subnormal half: renormalize.
+      std::int32_t e = -1;
+      do {
+        mantissa <<= 1;
+        ++e;
+      } while (!(mantissa & 0x400u));
+      mantissa &= 0x3ffu;
+      bits = sign | (std::uint32_t(127 - 15 - e) << 23) | (mantissa << 13);
+    }
+  } else if (exponent == 0x1f) {
+    bits = sign | 0x7f800000u | (mantissa << 13);  // inf / NaN
+  } else {
+    bits = sign | ((exponent - 15 + 127) << 23) | (mantissa << 13);
+  }
+  float value;
+  std::memcpy(&value, &bits, 4);
+  return value;
+}
 
 std::uint8_t WireEncodingSpec::format_tag() const {
   if (topk > 0.0) return kWireFormatTopK;
@@ -159,12 +317,12 @@ std::string check_wire_encoding(const std::string& text) {
   return parse_wire_encoding(text, nullptr);
 }
 
-std::string validate_stateful_payload(std::uint8_t format_tag,
-                                      const std::uint8_t* data,
-                                      std::size_t size) {
-  if (format_tag != kWireFormatTopK && format_tag != kWireFormatDeltaF32 &&
-      format_tag != kWireFormatDeltaFp16 && format_tag != kWireFormatDeltaInt8)
-    return "not a stateful wire format";
+std::string check_wire_payload(std::uint8_t format_tag,
+                               const std::uint8_t* data, std::size_t size) {
+  if (format_tag == kWireFormatRaw || format_tag >= kWireFormatCount)
+    return "not an encoded wire format";
+  if (is_stateless_tag(format_tag))
+    return check_base(base_of_tag(format_tag), data, size);
   if (size < kStatefulHeaderBytes) return "truncated wire payload";
   const std::uint8_t flags = data[0];
   if ((flags & ~kFlagKeyframe) != 0) return "unknown wire payload flags";
@@ -174,21 +332,21 @@ std::string validate_stateful_payload(std::uint8_t format_tag,
   const std::uint8_t* body = data + kStatefulHeaderBytes;
   const std::size_t body_size = size - kStatefulHeaderBytes;
   if (format_tag == kWireFormatTopK)
-    return validate_topk_body(body, body_size, keyframe);
-  const PayloadCodecPtr codec = base_codec_for_tag(format_tag);
-  try {
-    (void)codec->decode(std::vector<std::uint8_t>(body, body + body_size));
-  } catch (const std::exception& error) {
-    return error.what();
-  }
-  return "";
+    return check_topk_body(body, body_size, keyframe);
+  return check_base(base_of_tag(format_tag), body, body_size);
 }
 
-WireChannel::WireChannel(WireEncodingSpec spec) : spec_(std::move(spec)) {
-  if (spec_.topk == 0.0 && spec_.base != "f32")
-    base_codec_ = make_base_codec(spec_.base);
-  else if (spec_.delta)
-    base_codec_ = make_base_codec(spec_.base);
+std::string decode_stateless_payload(std::uint8_t format_tag,
+                                     const std::uint8_t* data,
+                                     std::size_t size,
+                                     std::vector<float>& out) {
+  if (!is_stateless_tag(format_tag)) return "not a stateless wire format";
+  if (std::string error = check_wire_payload(format_tag, data, size);
+      !error.empty())
+    return error;
+  out.resize(get_u32(data));
+  decode_base(base_of_tag(format_tag), data, out.data());
+  return "";
 }
 
 std::size_t WireChannel::topk_count(double fraction, std::size_t dim) {
@@ -222,59 +380,56 @@ std::vector<std::uint8_t> WireChannel::encode_topk_payload(
                 return a < b;
               });
   }
-  std::vector<bool> selected(n, false);
-  for (std::size_t i = 0; i < k; ++i) selected[order[i]] = true;
-
-  std::vector<std::uint8_t> out;
-  out.reserve(kStatefulHeaderBytes + 8 + bitmap_bytes + 2 * k);
-  out.push_back(keyframe ? kFlagKeyframe : 0);
-  append_u32(out, keyframe ? 0 : reference_crc(reference));
-  append_u32(out, std::uint32_t(n));
-  append_u32(out, std::uint32_t(k));
-  out.resize(out.size() + bitmap_bytes, 0);
-  std::uint8_t* bitmap = out.data() + out.size() - bitmap_bytes;
+  std::vector<std::uint8_t> out(kStatefulHeaderBytes + 8 + bitmap_bytes +
+                                2 * k);
+  out[0] = keyframe ? kFlagKeyframe : 0;
+  put_u32(out.data() + 1, keyframe ? 0 : core::crc32c_floats(reference));
+  std::uint8_t* body = out.data() + kStatefulHeaderBytes;
+  put_u32(body, std::uint32_t(n));
+  put_u32(body + 4, std::uint32_t(k));
+  std::uint8_t* bitmap = body + 8;
+  for (std::size_t i = 0; i < k; ++i)
+    bitmap[order[i] / 8] |= std::uint8_t(1u << (order[i] % 8));
+  // Values follow in index order, one per set bitmap bit.
+  std::uint8_t* half_bytes = bitmap + bitmap_bytes;
   for (std::size_t i = 0; i < n; ++i)
-    if (selected[i]) bitmap[i / 8] |= std::uint8_t(1u << (i % 8));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!selected[i]) continue;
-    const std::uint16_t h = float_to_half(values[i]);
-    out.push_back(std::uint8_t(h & 0xff));
-    out.push_back(std::uint8_t(h >> 8));
-  }
+    if ((bitmap[i / 8] >> (i % 8)) & 1u) {
+      put_half(half_bytes, values[i]);
+      half_bytes += 2;
+    }
   return out;
 }
 
 WireEncodeResult WireChannel::encode(const std::vector<float>& values) {
   FEDMS_EXPECTS(!spec_.is_f32());
+  const std::uint8_t tag = spec_.format_tag();
+  const std::size_t n = values.size();
   WireEncodeResult result;
+  const bool keyframe = !have_reference_ || reference_.size() != n;
   if (!spec_.stateful()) {  // stateless fp16 / int8: no reference chain
-    result.bytes = base_codec_->encode(values);
-    result.decoded = base_codec_->decode(result.bytes);
-    return result;
-  }
-  const bool keyframe =
-      !have_reference_ || reference_.size() != values.size();
-  if (spec_.topk > 0.0) {
-    const std::size_t k =
-        keyframe ? values.size() : topk_count(spec_.topk, values.size());
+    result.bytes.resize(base_size(base_of_tag(tag), n));
+    encode_base(base_of_tag(tag), values.data(), n, result.bytes.data());
+  } else if (spec_.topk > 0.0) {
+    const std::size_t k = keyframe ? n : topk_count(spec_.topk, n);
     result.bytes = encode_topk_payload(values, reference_, k, keyframe);
   } else {
     std::vector<float> diff;
-    if (keyframe) {
-      diff = values;
-    } else {
-      diff.resize(values.size());
-      for (std::size_t i = 0; i < values.size(); ++i)
-        diff[i] = values[i] - reference_[i];
+    if (!keyframe) {
+      diff.resize(n);
+      for (std::size_t i = 0; i < n; ++i) diff[i] = values[i] - reference_[i];
     }
-    result.bytes.push_back(keyframe ? kFlagKeyframe : 0);
-    append_u32(result.bytes, keyframe ? 0 : reference_crc(reference_));
-    const std::vector<std::uint8_t> body = base_codec_->encode(diff);
-    result.bytes.insert(result.bytes.end(), body.begin(), body.end());
+    const Base base = base_of_tag(tag);
+    result.bytes.resize(kStatefulHeaderBytes + base_size(base, n));
+    result.bytes[0] = keyframe ? kFlagKeyframe : 0;
+    put_u32(result.bytes.data() + 1,
+            keyframe ? 0 : core::crc32c_floats(reference_));
+    encode_base(base, keyframe ? values.data() : diff.data(), n,
+                result.bytes.data() + kStatefulHeaderBytes);
   }
-  // Round-trip through our own decode: it advances the reference exactly
-  // the way the receiver's channel will, keeping both chains in lockstep.
-  result.decoded = decode(spec_.format_tag(), result.bytes);
+  // Round-trip through our own decode: a stateful one advances the
+  // reference exactly the way the receiver's channel will, keeping both
+  // chains in lockstep.
+  result.decoded = decode(tag, result.bytes);
   return result;
 }
 
@@ -286,12 +441,15 @@ std::vector<float> WireChannel::decode(std::uint8_t format_tag,
 std::vector<float> WireChannel::decode(std::uint8_t format_tag,
                                        const std::uint8_t* data,
                                        std::size_t size) {
-  if (format_tag == kWireFormatFp16 || format_tag == kWireFormatInt8) {
-    const PayloadCodecPtr codec = base_codec_for_tag(format_tag);
-    return codec->decode(std::vector<std::uint8_t>(data, data + size));
+  std::vector<float> decoded;
+  if (is_stateless_tag(format_tag)) {
+    if (const std::string error =
+            decode_stateless_payload(format_tag, data, size, decoded);
+        !error.empty())
+      throw std::runtime_error("wire payload: " + error);
+    return decoded;
   }
-  if (const std::string error =
-          validate_stateful_payload(format_tag, data, size);
+  if (const std::string error = check_wire_payload(format_tag, data, size);
       !error.empty())
     throw std::runtime_error("wire payload: " + error);
   const bool keyframe = (data[0] & kFlagKeyframe) != 0;
@@ -299,47 +457,33 @@ std::vector<float> WireChannel::decode(std::uint8_t format_tag,
     if (!have_reference_)
       throw std::runtime_error(
           "wire stream: non-keyframe frame before any keyframe");
-    if (reference_crc(reference_) != get_u32(data + 1))
+    if (core::crc32c_floats(reference_) != get_u32(data + 1))
       throw std::runtime_error(
           "wire stream desynchronized (reference crc mismatch)");
   }
   const std::uint8_t* body = data + kStatefulHeaderBytes;
-  const std::size_t body_size = size - kStatefulHeaderBytes;
+  const std::size_t count = get_u32(body);
+  if (!keyframe && count != reference_.size())
+    throw std::runtime_error(
+        format_tag == kWireFormatTopK
+            ? "wire stream: topk coordinate count does not match reference"
+            : "wire stream: delta dimension does not match reference");
 
-  std::vector<float> decoded;
   if (format_tag == kWireFormatTopK) {
-    const std::uint32_t count = get_u32(body);
-    const std::uint32_t k = get_u32(body + 4);
-    if (!keyframe && std::size_t(count) != reference_.size())
-      throw std::runtime_error(
-          "wire stream: topk coordinate count does not match reference");
     decoded = keyframe ? std::vector<float>(count, 0.0f) : reference_;
     const std::uint8_t* bitmap = body + 8;
-    const std::uint8_t* half_bytes = bitmap + (std::size_t(count) + 7) / 8;
-    std::size_t next_value = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      if ((bitmap[i / 8] >> (i % 8) & 1u) == 0) continue;
-      const std::uint16_t h = std::uint16_t(
-          std::uint16_t(half_bytes[2 * next_value]) |
-          (std::uint16_t(half_bytes[2 * next_value + 1]) << 8));
-      decoded[i] = half_to_float(h);
-      ++next_value;
-    }
-    FEDMS_ASSERT(next_value == k);
+    const std::uint8_t* half_bytes = bitmap + (count + 7) / 8;
+    for (std::size_t i = 0; i < count; ++i)
+      if ((bitmap[i / 8] >> (i % 8)) & 1u) {
+        decoded[i] = get_half(half_bytes);
+        half_bytes += 2;
+      }
   } else {
-    const PayloadCodecPtr codec = base_codec_for_tag(format_tag);
-    const std::vector<float> diff =
-        codec->decode(std::vector<std::uint8_t>(body, body + body_size));
-    if (keyframe) {
-      decoded = diff;
-    } else {
-      if (diff.size() != reference_.size())
-        throw std::runtime_error(
-            "wire stream: delta dimension does not match reference");
-      decoded.resize(diff.size());
-      for (std::size_t i = 0; i < diff.size(); ++i)
-        decoded[i] = reference_[i] + diff[i];
-    }
+    decoded.resize(count);
+    decode_base(base_of_tag(format_tag), body, decoded.data());
+    if (!keyframe)
+      for (std::size_t i = 0; i < count; ++i)
+        decoded[i] = reference_[i] + decoded[i];
   }
   reference_ = decoded;
   have_reference_ = true;

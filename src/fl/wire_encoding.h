@@ -1,14 +1,15 @@
 // Negotiated wire encodings for model payloads.
 //
 // The CRC32C frame codec ships every model as raw float32 by default.
-// This layer adds the compressed wire path from ROADMAP item 2: fp16 and
-// int8-per-block-scale quantization, delta encoding against the previous
-// round's model on the same stream, and top-k partial sharing with an
-// index bitmap (Lari et al., PAPERS.md). Encodings are negotiated per
-// connection at kHello time — each client announces the encoding it wants
-// its broadcasts in, so heterogeneous fleets mix encodings — and every
-// frame is self-describing via the header's format byte, so decode never
-// needs the negotiation result.
+// This layer adds the compressed wire path and is the only code that
+// knows a payload's layout: fp16 and int8-per-block-scale quantization,
+// delta encoding against the previous round's model on the same stream,
+// and top-k partial sharing with an index bitmap (Lari et al.,
+// PAPERS.md). Encodings are negotiated per connection at kHello time —
+// each client announces the encoding it wants its broadcasts in, so
+// heterogeneous fleets mix encodings — and every frame is self-describing
+// via the header's format byte, so decode never needs the negotiation
+// result.
 //
 // Spec grammar (the `--wire-encoding` flag):
 //
@@ -19,6 +20,18 @@
 //   topk:<frac>           send only the ceil(frac*dim) coordinates that
 //                         moved most since the stream's previous model
 //                         (fp16 values + index bitmap), frac in (0,1]
+//
+// Payload layouts (little-endian). The three bases:
+//   f32    u32 count, count × f32
+//   fp16   u32 count, count × binary16
+//   int8   u32 count, u32 block, then per block of `block` coordinates
+//          (the last may be partial): f32 scale = finite max-abs / 127,
+//          one int8 code per coordinate (-128 = non-finite, decoded NaN)
+// fp16 and int8 ship as their base payload. Stateful payloads start with
+// a flags byte (bit0 = keyframe) and the u32 CRC32C of the stream's
+// reference floats (0 on a keyframe); delta+<base> follows with the base
+// payload of the diff, topk with u32 count, u32 k, a ceil(count/8)-byte
+// index bitmap and k binary16 values.
 //
 // Stateful encodings (delta, topk) chain per (sender -> receiver) stream:
 // the first frame is a keyframe (delta against zeros / k = dim), every
@@ -32,18 +45,17 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "fl/compression.h"
 #include "net/message.h"
 
 namespace fedms::fl {
 
-// Numeric tags stamped into the frame header's format byte. Values 0..2
-// mirror transport::PayloadFormat (raw/fp16/int8); the transport layer
-// static-asserts the overlap.
+// Numeric tags stamped into the frame header's format byte; the frame
+// codec uses these values directly. kWireFormatRaw is the frame codec's
+// own u64-count float32 layout; every other tag is a payload below.
 inline constexpr std::uint8_t kWireFormatRaw = 0;
 inline constexpr std::uint8_t kWireFormatFp16 = 1;
 inline constexpr std::uint8_t kWireFormatInt8 = 2;
@@ -53,9 +65,10 @@ inline constexpr std::uint8_t kWireFormatDeltaFp16 = 5;
 inline constexpr std::uint8_t kWireFormatDeltaInt8 = 6;
 inline constexpr std::uint8_t kWireFormatCount = 7;
 
-// The wire int8 path quantizes in finer blocks than Int8Codec's default
-// (64 vs 256): model deltas have spikier per-block ranges, and the extra
-// scales cost 6% of the payload for a visibly tighter error bound.
+// The int8 encoder's block size. Model deltas have spiky per-block
+// ranges; at 64 the scales cost 6% of the payload for a visibly tighter
+// error bound than 256 gives. The decoder reads the block size from the
+// payload, so it accepts any nonzero one.
 inline constexpr std::size_t kWireInt8Block = 64;
 
 struct WireEncodingSpec {
@@ -82,14 +95,29 @@ std::string check_wire_encoding(const std::string& text);
 // vets it first); contract-aborts otherwise.
 WireEncodingSpec wire_encoding_spec(const std::string& text);
 
-// Structural validation of a stateful (topk / delta*) wire payload
-// without reference state: lengths, k <= count, bitmap popcount == k,
-// zero padding bits. Returns "" when structurally valid so the frame
-// codec can reject corrupted scale/index metadata with a one-line error
-// before any reference chain is consulted.
-std::string validate_stateful_payload(std::uint8_t format_tag,
-                                      const std::uint8_t* data,
-                                      std::size_t size);
+// The structural check of one encoded payload (every tag but
+// kWireFormatRaw): 64-bit length arithmetic against the payload's own
+// count, block and k fields, the stateful flags, and the top-k bitmap's
+// popcount and padding. It never decodes and allocates nothing. Returns ""
+// when the payload is well formed, else a one-line error. A payload that
+// passes decodes without further bounds checks; a stateful one can still
+// fail against its stream's reference (WireChannel::decode).
+std::string check_wire_payload(std::uint8_t format_tag,
+                               const std::uint8_t* data, std::size_t size);
+
+// Decodes a stateless (fp16 / int8) payload into `out`, sized to the
+// payload's count only after check_wire_payload passed. Returns "" or the
+// one-line error, leaving `out` untouched. The frame codec and
+// WireChannel::decode both decode stateless payloads through this.
+std::string decode_stateless_payload(std::uint8_t format_tag,
+                                     const std::uint8_t* data,
+                                     std::size_t size,
+                                     std::vector<float>& out);
+
+// IEEE-754 binary16 conversions (round-to-nearest-even; overflow saturates
+// to ±inf, subnormals handled).
+std::uint16_t float_to_half(float value);
+float half_to_float(std::uint16_t half);
 
 struct WireEncodeResult {
   std::vector<std::uint8_t> bytes;  // exact bytes shipped in the frame
@@ -99,7 +127,7 @@ struct WireEncodeResult {
 // One direction of one (sender -> receiver) stream.
 class WireChannel {
  public:
-  explicit WireChannel(WireEncodingSpec spec);
+  explicit WireChannel(WireEncodingSpec spec) : spec_(std::move(spec)) {}
 
   const WireEncodingSpec& spec() const { return spec_; }
 
@@ -125,7 +153,6 @@ class WireChannel {
 
  private:
   WireEncodingSpec spec_;
-  PayloadCodecPtr base_codec_;  // fp16/int8 bases (delta or stateless)
   std::vector<float> reference_;
   bool have_reference_ = false;
 };

@@ -15,24 +15,40 @@ std::string json_optional(const std::optional<double>& value) {
   return value ? json_double(*value) : "null";
 }
 
-void write_run_json(std::ostream& os, const fl::FedMsConfig& config,
-                    const fl::RunResult& result) {
-  os << "{\n  \"config\": {"
-     << "\"clients\": " << config.clients
+void write_config_json(std::ostream& os, const fl::FedMsConfig& config) {
+  const auto text = [](const std::string& value) {
+    return '"' + json_escape(value) + '"';
+  };
+  os << "{\"clients\": " << config.clients
      << ", \"servers\": " << config.servers
      << ", \"byzantine\": " << config.byzantine
      << ", \"local_iterations\": " << config.local_iterations
      << ", \"rounds\": " << config.rounds
-     << ", \"upload\": \"" << json_escape(config.upload) << '"'
-     << ", \"client_filter\": \"" << json_escape(config.client_filter) << '"'
-     << ", \"server_aggregator\": \""
-     << json_escape(config.server_aggregator) << '"'
-     << ", \"attack\": \"" << json_escape(config.attack) << '"'
+     << ", \"upload\": " << text(config.upload)
+     << ", \"client_filter\": " << text(config.client_filter)
+     << ", \"fedgreed_root_samples\": " << config.fedgreed_root_samples
+     << ", \"server_aggregator\": " << text(config.server_aggregator)
+     << ", \"attack\": " << text(config.attack)
+     << ", \"byzantine_placement\": " << text(config.byzantine_placement)
      << ", \"byzantine_clients\": " << config.byzantine_clients
-     << ", \"client_attack\": \"" << json_escape(config.client_attack) << '"'
-     << ", \"wire_encoding\": \"" << json_escape(config.wire_encoding)
-     << '"' << ", \"participation\": " << json_double(config.participation)
-     << ", \"seed\": " << config.seed << "},\n  \"rounds\": [";
+     << ", \"client_attack\": " << text(config.client_attack)
+     << ", \"byzantine_client_placement\": "
+     << text(config.byzantine_client_placement)
+     << ", \"participation\": " << json_double(config.participation)
+     << ", \"wire_encoding\": " << text(config.wire_encoding)
+     << ", \"dp_clip_norm\": " << json_double(config.dp_clip_norm)
+     << ", \"dp_noise_multiplier\": "
+     << json_double(config.dp_noise_multiplier)
+     << ", \"eval_every\": " << config.eval_every
+     << ", \"eval_clients\": " << config.eval_clients
+     << ", \"seed\": " << config.seed << "}";
+}
+
+void write_run_json(std::ostream& os, const fl::FedMsConfig& config,
+                    const fl::RunResult& result) {
+  os << "{\n  \"config\": ";
+  write_config_json(os, config);
+  os << ",\n  \"rounds\": [";
   for (std::size_t i = 0; i < result.rounds.size(); ++i) {
     const auto& r = result.rounds[i];
     os << (i ? ",\n    " : "\n    ") << "{\"round\": " << r.round

@@ -16,19 +16,9 @@ using metrics::json_optional;
 void write_async_run_json(std::ostream& os, const fl::FedMsConfig& config,
                           const RuntimeOptions& options,
                           const AsyncRunResult& result) {
-  os << "{\n  \"config\": {"
-     << "\"clients\": " << config.clients
-     << ", \"servers\": " << config.servers
-     << ", \"byzantine\": " << config.byzantine
-     << ", \"rounds\": " << config.rounds
-     << ", \"upload\": \"" << json_escape(config.upload) << '"'
-     << ", \"client_filter\": \""
-     << json_escape(config.client_filter) << '"'
-     << ", \"attack\": \"" << json_escape(config.attack) << '"'
-     << ", \"wire_encoding\": \""
-     << json_escape(config.wire_encoding) << '"'
-     << ", \"participation\": " << json_double(config.participation)
-     << ", \"seed\": " << config.seed << "},\n  \"options\": {"
+  os << "{\n  \"config\": ";
+  metrics::write_config_json(os, config);
+  os << ",\n  \"options\": {"
      << "\"compute_seconds\": " << json_double(options.compute_seconds)
      << ", \"upload_window_seconds\": "
      << json_double(options.upload_window_seconds)

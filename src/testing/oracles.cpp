@@ -272,7 +272,7 @@ OracleResult check_wire_rejections(const fl::ModelVector& model) {
   const std::size_t bitmap_offset = 5 + 8;
   FEDMS_EXPECTS(bad_bitmap.size() > bitmap_offset);
   bad_bitmap[bitmap_offset] ^= 0x01;
-  const std::string bitmap_error = fl::validate_stateful_payload(
+  const std::string bitmap_error = fl::check_wire_payload(
       fl::kWireFormatTopK, bad_bitmap.data(), bad_bitmap.size());
   if (!one_line(bitmap_error))
     return violation("wire",
@@ -299,7 +299,7 @@ OracleResult check_wire_rejections(const fl::ModelVector& model) {
   // Truncation inside the half-value section.
   std::vector<std::uint8_t> truncated = second.bytes;
   truncated.resize(truncated.size() - 1);
-  if (!one_line(fl::validate_stateful_payload(
+  if (!one_line(fl::check_wire_payload(
           fl::kWireFormatTopK, truncated.data(), truncated.size())))
     return violation("wire",
                      "truncated top-k payload not rejected with a one-line "
@@ -315,7 +315,7 @@ OracleResult check_wire_rejections(const fl::ModelVector& model) {
   const std::size_t block_offset = 5 + 4;
   FEDMS_EXPECTS(bad_scale.size() >= block_offset + 4);
   for (std::size_t b = 0; b < 4; ++b) bad_scale[block_offset + b] = 0;
-  if (!one_line(fl::validate_stateful_payload(
+  if (!one_line(fl::check_wire_payload(
           fl::kWireFormatDeltaInt8, bad_scale.data(), bad_scale.size())))
     return violation("wire",
                      "zeroed int8 block-size metadata not rejected with a "

@@ -4,7 +4,6 @@
 
 #include "core/contracts.h"
 #include "core/rng.h"
-#include "fl/compression.h"
 #include "fl/wire_encoding.h"
 
 namespace fedms::transport {
@@ -59,37 +58,6 @@ std::uint64_t get_u64(const std::uint8_t* in) {
   return v;
 }
 
-struct Crc32cTable {
-  std::uint32_t entries[256];
-  Crc32cTable() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit)
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
-      entries[i] = crc;
-    }
-  }
-};
-
-const Crc32cTable& crc_table() {
-  static const Crc32cTable table;
-  return table;
-}
-
-// The fl layer's numeric format tags and this enum are the same values;
-// pin the overlap so neither can drift.
-static_assert(fl::kWireFormatRaw == std::uint8_t(PayloadFormat::kRawFloat32));
-static_assert(fl::kWireFormatFp16 == std::uint8_t(PayloadFormat::kFp16));
-static_assert(fl::kWireFormatInt8 == std::uint8_t(PayloadFormat::kInt8));
-static_assert(fl::kWireFormatTopK == std::uint8_t(PayloadFormat::kTopK));
-static_assert(fl::kWireFormatDeltaF32 ==
-              std::uint8_t(PayloadFormat::kDeltaF32));
-static_assert(fl::kWireFormatDeltaFp16 ==
-              std::uint8_t(PayloadFormat::kDeltaFp16));
-static_assert(fl::kWireFormatDeltaInt8 ==
-              std::uint8_t(PayloadFormat::kDeltaInt8));
-static_assert(fl::kWireFormatCount == kPayloadFormatCount);
-
 // Hello frames carry the announced wire-encoding spec in the reserved
 // bytes: NUL-padded, spec-grammar characters only.
 bool valid_hello_encoding_byte(std::uint8_t c) {
@@ -127,21 +95,6 @@ const char* to_string(FrameError error) {
   return "?";
 }
 
-std::uint32_t crc32c(const std::uint8_t* data, std::size_t size,
-                     std::uint32_t seed) {
-  const Crc32cTable& table = crc_table();
-  std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = (crc >> 8) ^ table.entries[(crc ^ data[i]) & 0xFFu];
-  return ~crc;
-}
-
-std::uint32_t crc32c_floats(const std::vector<float>& values) {
-  static_assert(sizeof(float) == 4);
-  return crc32c(reinterpret_cast<const std::uint8_t*>(values.data()),
-                values.size() * sizeof(float));
-}
-
 FrameCodec::FrameCodec(const std::string& session) {
   FEDMS_EXPECTS(session == "none");
 }
@@ -166,12 +119,12 @@ void FrameCodec::encode_to(const net::Message& message,
 
   // Encoded messages carry their wire bytes, shipped verbatim: stateful
   // encodings cannot be re-derived here.
-  PayloadFormat format = PayloadFormat::kRawFloat32;
+  std::uint8_t format = fl::kWireFormatRaw;
   if (compressed) {
-    FEDMS_EXPECTS(message.wire_format != 0 &&
-                  message.wire_format < kPayloadFormatCount);
+    FEDMS_EXPECTS(message.wire_format != fl::kWireFormatRaw &&
+                  message.wire_format < fl::kWireFormatCount);
     FEDMS_EXPECTS(message.encoded.size() == message.encoded_bytes);
-    format = static_cast<PayloadFormat>(message.wire_format);
+    format = message.wire_format;
   }
 
   const std::uint64_t payload_len =
@@ -185,7 +138,7 @@ void FrameCodec::encode_to(const net::Message& message,
   put_u32(frame + kOffMagic, kFrameMagic);
   put_u16(frame + kOffVersion, kProtocolVersion);
   frame[kOffKind] = static_cast<std::uint8_t>(message.kind);
-  frame[kOffFormat] = static_cast<std::uint8_t>(format);
+  frame[kOffFormat] = format;
   put_u64(frame + kOffRound, message.round);
   put_u64(frame + kOffFromIndex, message.from.index);
   put_u64(frame + kOffToIndex, message.to.index);
@@ -262,7 +215,7 @@ FrameCodec::DecodeResult FrameCodec::decode(const std::uint8_t* data,
   const std::uint8_t kind = data[kOffKind];
   if (kind >= net::kMessageKindCount) return fail(FrameError::kBadKind);
   const std::uint8_t format = data[kOffFormat];
-  if (format >= kPayloadFormatCount) return fail(FrameError::kBadFormat);
+  if (format >= fl::kWireFormatCount) return fail(FrameError::kBadFormat);
   const std::uint8_t from_kind = data[kOffFromKind];
   const std::uint8_t to_kind = data[kOffToKind];
   if (from_kind > 1 || to_kind > 1) return fail(FrameError::kBadNodeKind);
@@ -303,7 +256,7 @@ FrameCodec::DecodeResult FrameCodec::decode(const std::uint8_t* data,
   message.hello_encoding = std::move(hello_encoding);
 
   const std::uint8_t* payload = data + net::kFrameHeaderBytes;
-  if (format == std::uint8_t(PayloadFormat::kRawFloat32)) {
+  if (format == fl::kWireFormatRaw) {
     if (payload_len < 8) return fail(FrameError::kLengthMismatch);
     const std::uint64_t count = get_u64(payload);
     if ((payload_len - 8) / sizeof(float) != count ||
@@ -313,38 +266,24 @@ FrameCodec::DecodeResult FrameCodec::decode(const std::uint8_t* data,
     if (count > 0)
       std::memcpy(message.payload.data(), payload + 8,
                   std::size_t(count) * sizeof(float));
-  } else if (format == std::uint8_t(PayloadFormat::kFp16) ||
-             format == std::uint8_t(PayloadFormat::kInt8)) {
-    // Stateless quantized payload — self-describing, decodable without
-    // any session agreement.
-    if (payload_len == 0) return fail(FrameError::kLengthMismatch);
-    message.encoded.assign(payload, payload + payload_len);
-    static const fl::Fp16Codec fp16_codec;
-    static const fl::Int8Codec int8_codec;
-    const fl::PayloadCodec* codec =
-        format == std::uint8_t(PayloadFormat::kFp16)
-            ? static_cast<const fl::PayloadCodec*>(&fp16_codec)
-            : static_cast<const fl::PayloadCodec*>(&int8_codec);
-    try {
-      message.payload = codec->decode(message.encoded);
-    } catch (const std::exception&) {
-      return fail(FrameError::kBadPayload);
-    }
-    if (message.payload.empty()) return fail(FrameError::kBadPayload);
-    message.encoded_bytes = payload_len;
-    message.wire_format = format;
-  } else {
-    // Stateful wire payload (top-k / delta): validate the structure —
-    // corrupted scale or index metadata is rejected here — but leave the
-    // floats to the receiver's per-stream fl::WireChannel
-    // (fl::finish_wire_payload).
-    if (payload_len == 0) return fail(FrameError::kLengthMismatch);
-    if (!fl::validate_stateful_payload(format, payload, payload_len).empty())
-      return fail(FrameError::kBadPayload);
-    message.encoded.assign(payload, payload + payload_len);
-    message.encoded_bytes = payload_len;
-    message.wire_format = format;
+    return result;
   }
+  if (payload_len == 0) return fail(FrameError::kLengthMismatch);
+  if (format == fl::kWireFormatFp16 || format == fl::kWireFormatInt8) {
+    // Stateless quantized payload: self-describing, decoded here.
+    if (!fl::decode_stateless_payload(format, payload, payload_len,
+                                      message.payload)
+             .empty() ||
+        message.payload.empty())
+      return fail(FrameError::kBadPayload);
+  } else if (!fl::check_wire_payload(format, payload, payload_len).empty()) {
+    // Stateful (top-k / delta): checked here, decoded by the receiver's
+    // per-stream fl::WireChannel (fl::finish_wire_payload).
+    return fail(FrameError::kBadPayload);
+  }
+  message.encoded.assign(payload, payload + payload_len);
+  message.encoded_bytes = payload_len;
+  message.wire_format = format;
   return result;
 }
 

@@ -8,7 +8,7 @@
 //   0      4    magic "FMS1"
 //   4      2    protocol version (kProtocolVersion)
 //   6      1    message kind (net::MessageKind)
-//   7      1    payload format (PayloadFormat)
+//   7      1    payload format (fl::kWireFormat*)
 //   8      8    round
 //   16     8    from node index
 //   24     8    to node index
@@ -24,15 +24,14 @@
 //   60+L   4    CRC32C over bytes [0, 60+L)
 //
 // Payload section by format:
-//   kRawFloat32    : u64 value count + count×f32  (L = 8 + 4·count)
-//   kFp16/kInt8    : the fl::PayloadCodec's encoded buffer, verbatim —
-//                    self-describing (L = Message::encoded_bytes)
-//   kTopK/kDelta*  : fl::wire_encoding stateful payload (flags byte,
-//                    reference CRC, then the top-k bitmap+values or the
-//                    base-codec diff buffer). decode() validates the
-//                    structure and returns the bytes undecoded — the
-//                    receiver's per-stream fl::WireChannel materializes
-//                    the floats (fl::finish_wire_payload).
+//   kWireFormatRaw : u64 value count + count×f32  (L = 8 + 4·count)
+//   any other tag  : the fl::wire_encoding payload, verbatim
+//                    (L = Message::encoded_bytes). decode() checks its
+//                    structure with fl::check_wire_payload, decodes
+//                    fp16/int8 straight from the frame bytes, and returns
+//                    top-k/delta bytes undecoded: the receiver's
+//                    per-stream fl::WireChannel materializes those floats
+//                    (fl::finish_wire_payload).
 //
 // The encoder contract-checks that every frame's size equals
 // net::wire_size(message), so the simulated accounting and the real bytes
@@ -47,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "core/crc32c.h"
 #include "net/message.h"
 
 namespace fedms::core {
@@ -63,29 +63,18 @@ inline constexpr std::uint16_t kProtocolVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = net::kFrameHeaderBytes;
 inline constexpr std::size_t kFrameTrailerBytes = net::kFrameTrailerBytes;
 
-enum class PayloadFormat : std::uint8_t {
-  kRawFloat32 = 0,
-  kFp16 = 1,
-  kInt8 = 2,
-  kTopK = 3,       // top-k partial sharing (bitmap + fp16 values)
-  kDeltaF32 = 4,   // diff vs the stream's previous model, raw f32
-  kDeltaFp16 = 5,  // diff, fp16-quantized
-  kDeltaInt8 = 6,  // diff, int8-per-block quantized
-};
-inline constexpr std::uint8_t kPayloadFormatCount = 7;
-
 enum class FrameError {
   kNone = 0,
   kTruncated,       // fewer bytes than the header/frame announces
   kBadMagic,        // not a Fed-MS frame
   kBadVersion,      // protocol version mismatch
   kBadKind,         // unknown MessageKind
-  kBadFormat,       // unknown PayloadFormat, or format needs a codec we lack
+  kBadFormat,       // unknown payload format tag
   kBadNodeKind,     // node kind byte out of range
   kBadReserved,     // reserved header bytes not zero
   kLengthMismatch,  // payload length inconsistent with its own contents
   kCrcMismatch,     // CRC32C trailer does not match (bit corruption)
-  kBadPayload,      // CRC passed but the codec rejected the payload
+  kBadPayload,      // CRC passed but fl::check_wire_payload rejected it
 };
 
 const char* to_string(FrameError error);
@@ -102,19 +91,16 @@ bool is_control(net::MessageKind kind);
 void inject_corruption(net::MessageKind kind, double rate, core::Rng& rng,
                        std::vector<std::uint8_t>& frame);
 
-// CRC32C (Castagnoli), reflected polynomial 0x82F63B78 — the checksum used
-// by the frame trailer. `seed` allows incremental computation.
-std::uint32_t crc32c(const std::uint8_t* data, std::size_t size,
-                     std::uint32_t seed = 0);
-// Convenience: CRC32C over a float vector's byte representation (used to
-// fingerprint model states across process boundaries).
-std::uint32_t crc32c_floats(const std::vector<float>& values);
+// The frame trailer's checksum (core/crc32c.h), kept reachable under the
+// transport names its callers have always used.
+using core::crc32c;
+using core::crc32c_floats;
 
 class FrameCodec {
  public:
-  // Stateless: decoding is self-describing (kFp16/kInt8 through the
-  // stateless codecs, kTopK/kDelta* validated structurally and left for
-  // the receiver's fl::WireChannel), so any codec decodes any frame.
+  // Stateless: every frame is self-describing (fp16/int8 decode here,
+  // top-k/delta are checked and left for the receiver's fl::WireChannel),
+  // so any codec decodes any frame.
   FrameCodec() = default;
   // Accepts only "none"; kept because the frozen perfbench harness
   // constructs FrameCodec("none").

@@ -153,6 +153,47 @@ TEST(JsonExport, BothWritersAreModeProofAndParse) {
   EXPECT_EQ(async_doc.at("totals").at("virtual_seconds").as_number(), 0.9);
 }
 
+// Both writers emit the same config block, and it tells apart every
+// configuration that can change a run's results (a DP run and a plain run
+// with the same seed used to write identical blocks).
+TEST(JsonExport, BothWritersShareOneResultAffectingConfigBlock) {
+  const auto config_of = [](const fl::FedMsConfig& config, bool async) {
+    std::ostringstream json;
+    if (async)
+      runtime::write_async_run_json(json, config, runtime::RuntimeOptions{},
+                                    runtime::AsyncRunResult{});
+    else
+      write_run_json(json, config, fl::RunResult{});
+    return core::Json::parse(json.str()).at("config");
+  };
+  fl::FedMsConfig plain;
+  fl::FedMsConfig dp = plain;
+  dp.dp_clip_norm = 1.0;
+  dp.dp_noise_multiplier = 0.01;
+
+  const core::Json sync_config = config_of(dp, false);
+  const core::Json async_config = config_of(dp, true);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : sync_config.members()) keys.push_back(key);
+  std::vector<std::string> async_keys;
+  for (const auto& [key, value] : async_config.members())
+    async_keys.push_back(key);
+  EXPECT_EQ(keys, async_keys);
+  for (const char* key :
+       {"local_iterations", "server_aggregator", "byzantine_clients",
+        "client_attack", "dp_clip_norm", "dp_noise_multiplier",
+        "byzantine_placement", "byzantine_client_placement", "eval_every",
+        "eval_clients", "fedgreed_root_samples", "participation",
+        "wire_encoding", "seed"})
+    EXPECT_NE(sync_config.find(key), nullptr) << key;
+  // Results do not depend on the worker count, so it is not config.
+  EXPECT_EQ(sync_config.find("worker_threads"), nullptr);
+
+  EXPECT_EQ(sync_config.at("dp_clip_norm").as_number(), 1.0);
+  EXPECT_EQ(async_config.at("dp_noise_multiplier").as_number(), 0.01);
+  EXPECT_EQ(config_of(plain, true).at("dp_clip_norm").as_number(), 0.0);
+}
+
 TEST(JsonExport, SaveToFileThrowsOnBadPath) {
   fl::FedMsConfig config;
   EXPECT_THROW(save_run_json("/nonexistent/dir/run.json", config,

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "core/rng.h"
-#include "fl/compression.h"
 #include "fl/wire_encoding.h"
 #include "net/message.h"
 
@@ -92,24 +91,18 @@ TEST(FrameCodec, RoundTripsEmptyAndLargePayloads) {
 
 // The sender's lossy round-trip under a stateless wire encoding: payload
 // holds the decoded values, the wire ships the encoded buffer.
-net::Message make_encoded_message(const fl::PayloadCodec& codec,
-                                  std::uint8_t wire_format,
+net::Message make_encoded_message(const std::string& encoding,
                                   std::size_t dim) {
+  fl::WireChannel channel(fl::wire_encoding_spec(encoding));
   net::Message m = make_message(net::MessageKind::kModelUpload, dim);
-  m.encoded = codec.encode(m.payload);
-  m.encoded_bytes = m.encoded.size();
-  m.payload = codec.decode(m.encoded);
-  m.wire_format = wire_format;
+  fl::encode_payload(m, channel, m.payload, /*keep_bytes=*/true);
   return m;
 }
 
 TEST(FrameCodec, RoundTripsCompressedPayloads) {
   const FrameCodec codec;
-  const fl::Fp16Codec fp16;
-  const fl::Int8Codec int8(fl::kWireInt8Block);
-  for (const net::Message& original :
-       {make_encoded_message(fp16, fl::kWireFormatFp16, 300),
-        make_encoded_message(int8, fl::kWireFormatInt8, 300)}) {
+  for (const net::Message& original : {make_encoded_message("fp16", 300),
+                                       make_encoded_message("int8", 300)}) {
     const auto frame = codec.encode(original);
     EXPECT_EQ(frame.size(), net::wire_size(original));
     EXPECT_EQ(frame.size(),
@@ -124,11 +117,30 @@ TEST(FrameCodec, RoundTripsCompressedPayloads) {
 }
 
 TEST(FrameCodec, CompressedFramesAreSelfDescribing) {
-  // Negotiated encodings mean a receiver cannot know the sender's codec in
-  // advance: a stateless int8 frame with a non-default block size decodes
-  // with no agreement beyond the header's format byte.
-  const fl::Int8Codec int8(16);
-  const net::Message m = make_encoded_message(int8, fl::kWireFormatInt8, 40);
+  // Negotiated encodings mean a receiver cannot know the sender's encoder
+  // in advance: a stateless int8 frame with a block size other than the
+  // encoder's decodes with no agreement beyond the header's format byte.
+  // 40 values in blocks of 16: count, block, then (scale, codes) x 3.
+  net::Message m = make_message(net::MessageKind::kModelUpload, 0);
+  const auto put_u32 = [&m](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) m.encoded.push_back(std::uint8_t(v >> (8 * i)));
+  };
+  put_u32(40);
+  put_u32(16);
+  for (std::size_t begin = 0; begin < 40; begin += 16) {
+    const float scale = 0.5f * float(begin / 16 + 1);
+    std::uint32_t bits;
+    std::memcpy(&bits, &scale, 4);
+    put_u32(bits);
+    for (std::size_t i = begin; i < std::min<std::size_t>(begin + 16, 40);
+         ++i) {
+      const int q = int(i % 21) - 10;
+      m.encoded.push_back(std::uint8_t(std::int8_t(q)));
+      m.payload.push_back(float(q) * scale);
+    }
+  }
+  m.encoded_bytes = m.encoded.size();
+  m.wire_format = fl::kWireFormatInt8;
   const auto frame = FrameCodec().encode(m);
 
   const auto decoded = FrameCodec().decode(frame);
@@ -140,8 +152,7 @@ TEST(FrameCodec, CompressedFramesAreSelfDescribing) {
 TEST(FrameCodecDeath, EncodedMessagesMustCarryTheirBytes) {
   // Frames ship the sender's encoded buffer verbatim and never re-encode
   // the decoded payload, so a message must carry its bytes.
-  net::Message m = make_encoded_message(fl::Fp16Codec(), fl::kWireFormatFp16,
-                                        8);
+  net::Message m = make_encoded_message("fp16", 8);
   m.encoded.clear();
   EXPECT_DEATH((void)FrameCodec().encode(m), "Precondition");
 }
