@@ -5,8 +5,10 @@
 # exercising the event-driven runtime tests (the subsystem with the most
 # pointer-juggling callbacks) plus the GEMM/workspace and depthwise/layer
 # kernel tests (raw-pointer pack buffers, arena scratch and row-pointer
-# border arithmetic), then a TSan build exercising the obs layer and the
-# ThreadPool conv path (the two places worker threads write shared state),
+# border arithmetic), then a TSan build exercising the obs layer, the
+# ThreadPool conv path (the two places worker threads write shared state)
+# and the socket tests (a writer thread against a receiver, one thread per
+# node over real sockets),
 # then the benchmark stage: a short perfbench run of every workload (each
 # exits nonzero on a failed correctness check), perfbench's statistics
 # tests, the soak under three wire encodings, an accuracy-per-encoding
@@ -304,15 +306,19 @@ cmake -B "$tsan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DFEDMS_SANITIZE_THREAD=ON
 cmake --build "$tsan_build" -j "$jobs" \
   --target obs_test core_thread_pool_test tensor_conv_test \
-           tensor_workspace_test fl_sharded_filter_test
+           tensor_workspace_test fl_sharded_filter_test \
+           transport_socket_test eventloop_test
 
-echo "== obs layer + ThreadPool paths under TSan =="
+echo "== obs layer + ThreadPool + socket paths under TSan =="
 # obs_test's concurrent-recording case hammers the registry from pool
 # workers; the conv/workspace tests drive the ThreadPool im2col path that
 # the training spans wrap; the sharded-filter test drives the event-loop
-# runtime's coordinate-sharded trimmed mean from pool workers.
+# runtime's coordinate-sharded trimmed mean from pool workers. The socket
+# tests run a writer thread against a receiver over a socketpair, and a
+# whole Fed-MS run with one thread per node over real sockets.
 for t in obs_test core_thread_pool_test tensor_conv_test \
-         tensor_workspace_test fl_sharded_filter_test; do
+         tensor_workspace_test fl_sharded_filter_test \
+         transport_socket_test eventloop_test; do
   "$tsan_build/tests/$t"
 done
 

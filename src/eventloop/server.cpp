@@ -6,20 +6,17 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 
 #include "core/contracts.h"
+#include "obs/obs.h"
 
 namespace fedms::eventloop {
 
+using transport::Connection;
+
 namespace {
 
-std::uint64_t now_ns() {
-  return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now()
-                               .time_since_epoch())
-                           .count());
-}
+using obs::now_ns;
 
 double now_seconds() { return double(now_ns()) * 1e-9; }
 
@@ -91,7 +88,7 @@ void EventLoopServer::send(net::Message message) {
   transport::inject_corruption(message.kind, options_.corrupt_rate,
                                corrupt_rng_, frame);
   const std::size_t framed = frame.size();
-  conn->enqueue(std::move(frame), 0);  // room was reserved above
+  conn->enqueue(std::move(frame));  // room was reserved above
   stats_.count_sent(message, framed);
   const int fd = conn->fd();
   conn->on_writable(now_ns());  // common case: kernel buffer absorbs it
@@ -166,34 +163,21 @@ void EventLoopServer::handle_event(const Reactor::Event& event) {
   Connection* conn = it->second.get();
   const std::uint64_t now = now_ns();
   if (event.writable) conn->on_writable(now);
-  if (event.readable || event.broken)
-    ingest(conn, conn->on_readable(codec_, now));
+  if (event.readable || event.broken) {
+    Connection::ReadResult result = conn->on_readable(codec_, now);
+    // Every hello's announced wire encoding is kept (identification or a
+    // stray re-hello): latest hello wins on rejoin.
+    for (const net::Message& hello :
+         transport::deliver(result, conn->peer(), stats_, inbox_))
+      peer_encodings_[hello.from] =
+          hello.hello_encoding.empty() ? "f32" : hello.hello_encoding;
+    if (result.identified) bind_peer(conn);
+  }
   if (conn->closed()) {
     reap(event.fd);
     return;
   }
   reactor_.modify(event.fd, true, conn->wants_write());
-}
-
-void EventLoopServer::ingest(Connection* conn,
-                             Connection::ReadResult result) {
-  for (std::size_t i = 0; i < result.corrupt_frames; ++i)
-    stats_.count_corrupt(conn->peer());
-  for (net::Message& message : result.messages) {
-    stats_.count_received(message,
-                          transport::FrameCodec::framed_size(message));
-    // Hellos are connection plumbing (identification / stray re-hellos):
-    // counted as control traffic, never surfaced to the protocol. The
-    // announced wire encoding is kept — latest hello wins on rejoin.
-    if (message.kind == net::MessageKind::kHello) {
-      peer_encodings_[message.from] = message.hello_encoding.empty()
-                                          ? "f32"
-                                          : message.hello_encoding;
-    } else {
-      inbox_.push_back(std::move(message));
-    }
-  }
-  if (result.identified) bind_peer(conn);
 }
 
 void EventLoopServer::bind_peer(Connection* conn) {

@@ -4,9 +4,10 @@
 // EventLoopServer is a `transport::Transport` and the one listening side
 // of every socket run: the bit-for-bit protocol engine in
 // src/transport/node_runner.* runs against it unchanged, and the same
-// differential oracles pin it against the in-memory reference. Clients
-// keep transport::SocketTransport (their side is 1:P); this endpoint
-// multiplexes every client over a single epoll/poll reactor with
+// differential oracles pin it against the in-memory reference. Each
+// client link is a PS-role transport::Connection, the framed stream a
+// client's transport::SocketTransport runs in the client role; this
+// endpoint multiplexes them all over a single epoll/poll reactor with
 // nonblocking I/O:
 //
 //   * receive() services the reactor until a decoded message is
@@ -51,8 +52,8 @@
 #include <vector>
 
 #include "core/rng.h"
-#include "eventloop/connection.h"
 #include "eventloop/reactor.h"
+#include "transport/connection.h"
 #include "transport/socket_transport.h"
 #include "transport/transport.h"
 
@@ -121,17 +122,16 @@ class EventLoopServer final : public transport::Transport {
   std::uint64_t idle_closed() const { return idle_closed_; }
 
  private:
-  Connection* identified(const net::NodeId& peer);
+  transport::Connection* identified(const net::NodeId& peer);
   void accept_ready();
   void handle_event(const Reactor::Event& event);
-  void ingest(Connection* conn, Connection::ReadResult result);
-  void bind_peer(Connection* conn);
+  void bind_peer(transport::Connection* conn);
   // Deregisters, closes, and forgets the connection owning `fd`.
   void reap(int fd);
   void sweep_timeouts(std::uint64_t now);
   // Backpressure wait: services the loop until `to`'s queue has room.
   // Returns nullptr when the peer vanished or was evicted for stalling.
-  Connection* wait_for_room(const net::NodeId& to);
+  transport::Connection* wait_for_room(const net::NodeId& to);
 
   net::NodeId self_;
   EventLoopOptions options_;
@@ -142,8 +142,9 @@ class EventLoopServer final : public transport::Transport {
   transport::SocketAddress address_;
   bool unlink_on_close_ = false;
 
-  std::map<int, std::unique_ptr<Connection>> conns_;  // keyed by fd
-  std::map<net::NodeId, Connection*> by_peer_;        // identified only
+  // Keyed by fd; by_peer_ holds the identified ones only.
+  std::map<int, std::unique_ptr<transport::Connection>> conns_;
+  std::map<net::NodeId, transport::Connection*> by_peer_;
   std::map<net::NodeId, std::string> peer_encodings_;  // from hellos
   std::deque<net::Message> inbox_;
   transport::EndpointStats stats_;

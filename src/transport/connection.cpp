@@ -1,15 +1,27 @@
-#include "eventloop/connection.h"
+#include "transport/connection.h"
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
-namespace fedms::eventloop {
+#include "transport/transport.h"
+
+namespace fedms::transport {
 
 Connection::Connection(int fd, std::uint64_t now_ns)
     : fd_(fd), accepted_ns_(now_ns), last_progress_ns_(now_ns) {}
+
+Connection::Connection(int fd, const net::NodeId& peer, std::uint64_t now_ns,
+                       std::size_t max_send_chunk)
+    : fd_(fd),
+      state_(State::kActive),
+      peer_(peer),
+      accepted_ns_(now_ns),
+      last_progress_ns_(now_ns),
+      max_send_chunk_(max_send_chunk) {}
 
 Connection::~Connection() { close(); }
 
@@ -25,8 +37,8 @@ void Connection::close() {
   tx_bytes_ = 0;
 }
 
-Connection::ReadResult Connection::on_readable(
-    const transport::FrameCodec& codec, std::uint64_t now_ns) {
+Connection::ReadResult Connection::on_readable(const FrameCodec& codec,
+                                              std::uint64_t now_ns) {
   ReadResult result;
   if (closed()) return result;
 
@@ -50,20 +62,20 @@ Connection::ReadResult Connection::on_readable(
     break;
   }
 
-  // Decode every complete frame buffered so far. Unlike the client-side
-  // SocketTransport, stream-level damage closes just this connection.
+  // Decode every complete frame buffered so far. Stream-level damage
+  // closes the connection; the owner decides what that means.
   std::size_t offset = 0;
   while (state_ != State::kClosed) {
-    transport::FrameError error = transport::FrameError::kNone;
-    const auto size = transport::FrameCodec::frame_size(
+    FrameError error = FrameError::kNone;
+    const auto size = FrameCodec::frame_size(
         rx_.data() + offset, rx_.size() - offset, &error);
-    if (error != transport::FrameError::kNone) {
+    if (error != FrameError::kNone) {
       close();
       result.closed_reason = "desynchronized stream";
       return result;
     }
     if (!size.has_value() || rx_.size() - offset < *size) break;
-    transport::FrameCodec::DecodeResult decoded =
+    FrameCodec::DecodeResult decoded =
         codec.decode(rx_.data() + offset, *size);
     offset += *size;
     if (state_ == State::kHandshake) {
@@ -81,8 +93,8 @@ Connection::ReadResult Connection::on_readable(
     }
     if (decoded.ok()) {
       result.messages.push_back(std::move(decoded.message));
-    } else if (decoded.error == transport::FrameError::kCrcMismatch ||
-               decoded.error == transport::FrameError::kBadPayload) {
+    } else if (decoded.error == FrameError::kCrcMismatch ||
+               decoded.error == FrameError::kBadPayload) {
       ++result.corrupt_frames;
     } else {
       close();
@@ -100,21 +112,21 @@ Connection::ReadResult Connection::on_readable(
   return result;
 }
 
-bool Connection::enqueue(std::vector<std::uint8_t> frame,
-                         std::size_t cap_bytes) {
-  if (closed()) return true;  // silently dropped; the peer is gone
-  if (cap_bytes != 0 && tx_bytes_ >= cap_bytes) return false;
+void Connection::enqueue(std::vector<std::uint8_t> frame) {
+  if (closed()) return;  // silently dropped; the peer is gone
   tx_bytes_ += frame.size();
   tx_.push_back(std::move(frame));
-  return true;
 }
 
 void Connection::on_writable(std::uint64_t now_ns) {
   while (!closed() && !tx_.empty()) {
     const std::vector<std::uint8_t>& front = tx_.front();
     const std::size_t remaining = front.size() - tx_front_offset_;
-    const ssize_t n = ::send(fd_, front.data() + tx_front_offset_,
-                             remaining, MSG_NOSIGNAL);
+    const std::size_t chunk =
+        max_send_chunk_ == 0 ? remaining
+                             : std::min(remaining, max_send_chunk_);
+    const ssize_t n = ::send(fd_, front.data() + tx_front_offset_, chunk,
+                             MSG_NOSIGNAL);
     if (n > 0) {
       last_progress_ns_ = now_ns;
       tx_bytes_ -= std::size_t(n);
@@ -133,4 +145,21 @@ void Connection::on_writable(std::uint64_t now_ns) {
   }
 }
 
-}  // namespace fedms::eventloop
+std::vector<net::Message> deliver(Connection::ReadResult& result,
+                                  const net::NodeId& peer,
+                                  EndpointStats& stats,
+                                  std::deque<net::Message>& inbox) {
+  for (std::size_t i = 0; i < result.corrupt_frames; ++i)
+    stats.count_corrupt(peer);
+  std::vector<net::Message> hellos;
+  for (net::Message& message : result.messages) {
+    stats.count_received(message, FrameCodec::framed_size(message));
+    if (message.kind == net::MessageKind::kHello)
+      hellos.push_back(std::move(message));
+    else
+      inbox.push_back(std::move(message));
+  }
+  return hellos;
+}
+
+}  // namespace fedms::transport

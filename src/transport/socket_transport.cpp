@@ -13,9 +13,12 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #include "core/contracts.h"
+#include "obs/obs.h"
 
 namespace fedms::transport {
 
@@ -23,11 +26,9 @@ namespace {
 
 constexpr double kWriteTimeoutSeconds = 30.0;
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using obs::now_ns;
+
+double now_seconds() { return double(now_ns()) * 1e-9; }
 
 [[noreturn]] void raise_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -188,24 +189,6 @@ SocketTransport::SocketTransport(const net::NodeId& self,
       options_(options),
       corrupt_rng_(options.corrupt_seed) {}
 
-SocketTransport::~SocketTransport() {
-  for (Peer& peer : peers_)
-    if (peer.fd >= 0) ::close(peer.fd);
-}
-
-void SocketTransport::add_peer(int fd, const net::NodeId& id) {
-  Peer peer;
-  peer.fd = fd;
-  peer.id = id;
-  peers_.push_back(std::move(peer));
-}
-
-SocketTransport::Peer& SocketTransport::peer_for(const net::NodeId& id) {
-  for (Peer& peer : peers_)
-    if (peer.id == id) return peer;
-  throw std::runtime_error("no connection to " + net::to_string(id));
-}
-
 std::unique_ptr<SocketTransport> SocketTransport::connect_mesh(
     const net::NodeId& self, const std::vector<SocketAddress>& servers,
     const SocketTransportOptions& options) {
@@ -216,7 +199,8 @@ std::unique_ptr<SocketTransport> SocketTransport::connect_mesh(
     const int fd = connect_with_retry(address, options.connect_backoff);
     set_nonblocking(fd);
     if (address.kind == SocketAddress::Kind::kTcp) set_nodelay(fd);
-    transport->add_peer(fd, net::server_id(s));
+    transport->conns_.try_emplace(net::server_id(s), fd, net::server_id(s),
+                                  now_ns(), options.max_send_chunk);
 
     net::Message hello;
     hello.from = self;
@@ -235,107 +219,40 @@ std::unique_ptr<SocketTransport> SocketTransport::from_connected_fd(
   std::unique_ptr<SocketTransport> transport(
       new SocketTransport(self, options));
   set_nonblocking(fd);
-  transport->add_peer(fd, peer);
+  transport->conns_.try_emplace(peer, fd, peer, now_ns(),
+                                options.max_send_chunk);
   return transport;
-}
-
-void SocketTransport::write_all(Peer& peer, const std::uint8_t* data,
-                                std::size_t size) {
-  const double deadline = now_seconds() + kWriteTimeoutSeconds;
-  std::size_t written = 0;
-  while (written < size) {
-    std::size_t chunk = size - written;
-    if (options_.max_send_chunk > 0 && chunk > options_.max_send_chunk)
-      chunk = options_.max_send_chunk;
-    const ssize_t n = ::send(peer.fd, data + written, chunk, MSG_NOSIGNAL);
-    if (n > 0) {
-      written += std::size_t(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const double remaining = deadline - now_seconds();
-      if (remaining <= 0)
-        throw std::runtime_error("send timeout to " +
-                                 net::to_string(peer.id));
-      pollfd p{peer.fd, POLLOUT, 0};
-      ::poll(&p, 1, int(remaining * 1000.0) + 1);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    peer.closed = true;
-    raise_errno("send to " + net::to_string(peer.id));
-  }
 }
 
 void SocketTransport::send(net::Message message) {
   FEDMS_EXPECTS(message.from == self_);
-  Peer& peer = peer_for(message.to);
-  if (peer.closed)
+  const auto it = conns_.find(message.to);
+  if (it == conns_.end())
+    throw std::runtime_error("no connection to " +
+                             net::to_string(message.to));
+  Connection& conn = it->second;
+  // A closed connection would silently drop the frame.
+  if (conn.closed())
     throw std::runtime_error("send to closed peer " +
-                             net::to_string(peer.id));
+                             net::to_string(message.to));
   std::vector<std::uint8_t> frame = codec_.encode(message);
   inject_corruption(message.kind, options_.corrupt_rate, corrupt_rng_,
                     frame);
   stats_.count_sent(message, frame.size());
-  write_all(peer, frame.data(), frame.size());
-}
-
-bool SocketTransport::pump(Peer& peer) {
-  for (;;) {
-    std::uint8_t chunk[65536];
-    const ssize_t n = ::recv(peer.fd, chunk, sizeof chunk, 0);
-    if (n > 0) {
-      peer.rx.insert(peer.rx.end(), chunk, chunk + n);
-      if (std::size_t(n) < sizeof chunk) break;
-      continue;
-    }
-    if (n == 0) {
-      peer.closed = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    peer.closed = true;
-    break;
+  conn.enqueue(std::move(frame));
+  const double deadline = now_seconds() + kWriteTimeoutSeconds;
+  for (conn.on_writable(now_ns()); conn.wants_write();
+       conn.on_writable(now_ns())) {
+    const double remaining = deadline - now_seconds();
+    if (remaining <= 0)
+      throw std::runtime_error("send timeout to " +
+                               net::to_string(message.to));
+    pollfd p{conn.fd(), POLLOUT, 0};
+    ::poll(&p, 1, int(remaining * 1000.0) + 1);
   }
-  extract_frames(peer);
-  return !peer.closed;
-}
-
-void SocketTransport::extract_frames(Peer& peer) {
-  std::size_t offset = 0;
-  for (;;) {
-    FrameError error = FrameError::kNone;
-    const auto size = FrameCodec::frame_size(peer.rx.data() + offset,
-                                             peer.rx.size() - offset,
-                                             &error);
-    if (error != FrameError::kNone)
-      throw std::runtime_error("desynchronized stream from " +
-                               net::to_string(peer.id) + ": " +
-                               to_string(error));
-    if (!size.has_value() || peer.rx.size() - offset < *size) break;
-    FrameCodec::DecodeResult decoded =
-        codec_.decode(peer.rx.data() + offset, *size);
-    if (decoded.ok()) {
-      stats_.count_received(decoded.message, *size);
-      // A stray hello is control traffic, never surfaced to the protocol.
-      if (decoded.message.kind != net::MessageKind::kHello)
-        inbox_.push_back(std::move(decoded.message));
-    } else if (decoded.error == FrameError::kCrcMismatch ||
-               decoded.error == FrameError::kBadPayload) {
-      // Bit corruption in transit: telemetry, then carry on — the protocol
-      // layer sees a missing message.
-      stats_.count_corrupt(peer.id);
-    } else {
-      throw std::runtime_error("undecodable frame from " +
-                               net::to_string(peer.id) + ": " +
-                               to_string(decoded.error));
-    }
-    offset += *size;
-  }
-  if (offset > 0)
-    peer.rx.erase(peer.rx.begin(),
-                  peer.rx.begin() + std::ptrdiff_t(offset));
+  if (conn.closed())
+    throw std::runtime_error("send to " + net::to_string(message.to) +
+                             ": connection closed");
 }
 
 std::optional<net::Message> SocketTransport::receive(
@@ -347,12 +264,14 @@ std::optional<net::Message> SocketTransport::receive(
       inbox_.pop_front();
       return message;
     }
+    if (!stream_error_.empty())
+      throw std::runtime_error(std::exchange(stream_error_, {}));
     std::vector<pollfd> fds;
-    std::vector<Peer*> open;
-    for (Peer& peer : peers_) {
-      if (peer.closed) continue;
-      fds.push_back(pollfd{peer.fd, POLLIN, 0});
-      open.push_back(&peer);
+    std::vector<Connection*> open;
+    for (auto& [peer, conn] : conns_) {
+      if (conn.closed()) continue;
+      fds.push_back(pollfd{conn.fd(), POLLIN, 0});
+      open.push_back(&conn);
     }
     if (open.empty()) return std::nullopt;
     const double remaining = deadline - now_seconds();
@@ -363,9 +282,19 @@ std::optional<net::Message> SocketTransport::receive(
       if (errno == EINTR) continue;
       raise_errno("poll");
     }
-    if (rc == 0) continue;  // re-check deadline
-    for (std::size_t i = 0; i < fds.size(); ++i)
-      if (fds[i].revents != 0) pump(*open[i]);
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      Connection& conn = *open[i];
+      Connection::ReadResult result = conn.on_readable(codec_, now_ns());
+      // Stray hellos are control traffic, never surfaced to the protocol.
+      deliver(result, conn.peer(), stats_, inbox_);
+      // A hangup only leaves the poll set; a damaged stream is fatal.
+      if (result.closed_reason != nullptr &&
+          std::string_view(result.closed_reason) != "eof" &&
+          stream_error_.empty())
+        stream_error_ = std::string(result.closed_reason) + " from " +
+                        net::to_string(conn.peer());
+    }
   }
 }
 

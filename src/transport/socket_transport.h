@@ -3,34 +3,35 @@
 // nonblocking I/O.
 //
 // Topology: every parameter server listens (eventloop::EventLoopServer,
-// the one PS endpoint); every client connects to every PS (the protocol
-// is strictly client<->PS, so the client side of the mesh is the whole
-// mesh). Connections are identified by a kHello frame sent immediately
-// after connect. Connect races the listener coming up, so the client
-// retries with the same bounded exponential backoff policy the
-// event-driven runtime uses for broadcast re-requests (runtime::Backoff).
+// the one PS endpoint); every client connects to every PS, retrying with
+// the runtime's bounded exponential backoff (runtime::Backoff) while the
+// listener comes up, and identifies itself with a kHello frame.
 //
-// Failure semantics:
-//   * A frame whose CRC32C check fails is counted in the receiving
-//     endpoint's stats and dropped; the stream stays usable (framing is
-//     recovered from the intact length field). The protocol layer sees a
-//     missing message — exactly the fault the trimmed-mean fallback
-//     absorbs.
-//   * A frame whose *header* is unparseable (bad magic/version) means the
-//     stream is desynchronized; that throws std::runtime_error.
-//   * Peer hangup marks the connection dead; pending protocol waits then
-//     time out (receive() returns nullopt).
+// Each PS link is one client-role transport::Connection, the framed
+// stream the PS side runs too. receive() drives them from one poll()
+// loop; send() queues a frame and waits on POLLOUT until it is written.
+// The client's policy on what a Connection reports:
+//   * A CRC-rejected frame is counted in stats and dropped; the stream
+//     stays usable. The protocol sees a missing message — the fault the
+//     trimmed-mean fallback absorbs.
+//   * A desynchronized stream (bad magic/version) or an undecodable frame
+//     throws std::runtime_error, after the messages that arrived intact
+//     ahead of it have been received.
+//   * A hangup drops that PS from the poll set, so waits on it time out
+//     (receive() returns nullopt); a send to a closed PS throws.
 //
 // `corrupt_rate` injects transit corruption for tests/experiments
 // (transport::inject_corruption).
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "runtime/policy.h"
+#include "transport/connection.h"
 #include "transport/transport.h"
 
 namespace fedms::transport {
@@ -92,7 +93,6 @@ class SocketTransport final : public Transport {
       const net::NodeId& self, const net::NodeId& peer, int fd,
       const SocketTransportOptions& options = {});
 
-  ~SocketTransport() override;
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
@@ -102,32 +102,17 @@ class SocketTransport final : public Transport {
   const EndpointStats& stats() const override { return stats_; }
 
  private:
-  struct Peer {
-    int fd = -1;
-    net::NodeId id;
-    std::vector<std::uint8_t> rx;  // partial inbound frame bytes
-    bool closed = false;
-  };
-
   SocketTransport(const net::NodeId& self,
                   const SocketTransportOptions& options);
-
-  void add_peer(int fd, const net::NodeId& id);
-  Peer& peer_for(const net::NodeId& id);
-  // Writes the whole buffer, polling on EAGAIN up to an internal deadline.
-  void write_all(Peer& peer, const std::uint8_t* data, std::size_t size);
-  // Pulls readable bytes from `peer` and appends decoded messages to
-  // inbox_. Returns false when the peer hung up.
-  bool pump(Peer& peer);
-  // Decodes complete frames sitting in peer.rx into inbox_.
-  void extract_frames(Peer& peer);
 
   net::NodeId self_;
   SocketTransportOptions options_;
   FrameCodec codec_;
   core::Rng corrupt_rng_;
-  std::vector<Peer> peers_;
+  std::map<net::NodeId, Connection> conns_;  // one per PS, client role
   std::deque<net::Message> inbox_;
+  // A closed stream's reason, thrown once inbox_ has drained.
+  std::string stream_error_;
   EndpointStats stats_;
 };
 

@@ -12,7 +12,8 @@
 //   * Sockets — Unix-domain or localhost TCP with nonblocking I/O; every
 //     message is a CRC32C-framed binary frame (transport/frame.h).
 //     Clients use SocketTransport (socket_transport.h); every PS is an
-//     eventloop::EventLoopServer (src/eventloop/server.h).
+//     eventloop::EventLoopServer (src/eventloop/server.h). Both frame
+//     each socket with one transport::Connection (connection.h).
 //
 // Telemetry: every endpoint keeps per-link counters split into *data*
 // traffic (model uploads/broadcasts — the bytes the paper's communication
@@ -81,7 +82,8 @@ class Transport {
   // The wire-encoding spec `peer` announced in its kHello frame — the
   // encoding it wants payloads sent to it in. "f32" when the peer never
   // announced one (or has not yet registered on an in-memory hub), or
-  // when this endpoint receives no hellos (a client's SocketTransport).
+  // when this endpoint keeps no announcements (a client's
+  // SocketTransport: its peers are PSs, which never hello).
   virtual std::string peer_encoding(const net::NodeId& peer) const {
     (void)peer;
     return "f32";

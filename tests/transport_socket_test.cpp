@@ -138,7 +138,7 @@ TEST(SocketTransport, HangupSurfacesAsTimeout) {
 TEST(SocketTransport, SendToCrashedPeerThrowsInsteadOfSigpipe) {
   // Keep SIGPIPE at its fatal default disposition: if any send site lacked
   // MSG_NOSIGNAL the kernel would kill this process right here instead of
-  // letting write_all surface EPIPE as an exception.
+  // letting send() surface EPIPE as an exception.
   std::signal(SIGPIPE, SIG_DFL);
   Pair pair = make_pair_transports();
   pair.server.reset();  // the peer "crashes": its fd is closed
@@ -169,6 +169,66 @@ TEST(SocketTransport, CrashMidFrameNeverDeliversTornFrame) {
 
   EXPECT_FALSE(receiver->receive(0.5).has_value());
   EXPECT_EQ(receiver->stats().total_received().messages, 0u);
+}
+
+TEST(SocketTransport, DesynchronizedStreamThrowsAfterGoodFrame) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  auto receiver = SocketTransport::from_connected_fd(
+      net::server_id(0), net::client_id(0), fds[1],
+      SocketTransportOptions{});
+
+  // An intact frame is delivered...
+  const std::vector<std::uint8_t> frame = FrameCodec().encode(upload(16));
+  ASSERT_EQ(::send(fds[0], frame.data(), frame.size(), MSG_NOSIGNAL),
+            ssize_t(frame.size()));
+  const auto m = receiver->receive(5.0);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->payload, upload(16).payload);
+
+  // ...then a full header's worth of bytes with a bad magic: the client
+  // cannot find the next frame boundary, so the stream is fatal.
+  const std::vector<std::uint8_t> garbage(kFrameHeaderBytes, 0xAB);
+  ASSERT_EQ(::send(fds[0], garbage.data(), garbage.size(), MSG_NOSIGNAL),
+            ssize_t(garbage.size()));
+  try {
+    receiver->receive(5.0);
+    FAIL() << "a desynchronized stream must throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("desynchronized"),
+              std::string::npos)
+        << error.what();
+  }
+  ::close(fds[0]);
+}
+
+TEST(SocketTransport, FramesAheadOfDesyncAreDeliveredBeforeTheThrow) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  auto receiver = SocketTransport::from_connected_fd(
+      net::server_id(0), net::client_id(0), fds[1],
+      SocketTransportOptions{});
+
+  // Two intact frames and the garbage behind them land in one read.
+  const FrameCodec codec;
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    const std::vector<std::uint8_t> frame = codec.encode(upload(8, round));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  bytes.insert(bytes.end(), kFrameHeaderBytes, 0xAB);
+  ASSERT_EQ(::send(fds[0], bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            ssize_t(bytes.size()));
+
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    const auto m = receiver->receive(5.0);
+    ASSERT_TRUE(m.has_value()) << "round " << round;
+    EXPECT_EQ(m->round, round);
+  }
+  EXPECT_THROW(receiver->receive(5.0), std::runtime_error);
+  // The desynchronized stream is closed: later waits time out.
+  EXPECT_FALSE(receiver->receive(0.05).has_value());
+  ::close(fds[0]);
 }
 
 TEST(SocketTransport, ConnectRetriesUntilListenerIsUp) {
