@@ -21,6 +21,7 @@ void ParameterServer::set_initial_model(std::vector<float> w0) {
   FEDMS_EXPECTS(!w0.empty());
   initial_model_ = w0;
   aggregate_ = std::move(w0);
+  encoded_aggregate_.clear();
 }
 
 void ParameterServer::set_aggregator(
@@ -31,6 +32,7 @@ void ParameterServer::set_aggregator(
 void ParameterServer::aggregate_round(
     std::uint64_t /*round*/, const std::vector<std::vector<float>>& received) {
   last_upload_count_ = received.size();
+  encoded_aggregate_.clear();
   // Archive the previous round's aggregate before overwriting it.
   if (!aggregate_.empty()) {
     history_.push_back(aggregate_);
@@ -56,6 +58,7 @@ ParameterServer::Snapshot ParameterServer::snapshot() const {
 
 void ParameterServer::restore(const Snapshot& snapshot) {
   aggregate_ = snapshot.aggregate;
+  encoded_aggregate_.clear();
   history_ = snapshot.history;
   last_upload_count_ = snapshot.last_upload_count;
   rng_ = snapshot.rng;
@@ -63,6 +66,7 @@ void ParameterServer::restore(const Snapshot& snapshot) {
 
 void ParameterServer::reset_state() {
   aggregate_ = initial_model_;
+  encoded_aggregate_.clear();
   history_.clear();
   last_upload_count_ = 0;
   accepted_.clear();
@@ -104,8 +108,25 @@ std::optional<net::Message> ParameterServer::broadcast(std::uint64_t round,
   net::Message m{.from = net::server_id(index_),
                  .to = net::client_id(client),
                  .kind = net::MessageKind::kModelBroadcast,
-                 .round = round,
-                 .payload = disseminate(round, client)};
+                 .round = round};
+  if (!attack_) {
+    // Every recipient gets the same aggregate, and a stateless encoding
+    // of it is the same bytes on every stream: encode it once.
+    WireChannel& channel = downlinks_.channel(m.to);
+    if (!channel.spec().is_f32() && !channel.spec().stateful()) {
+      FEDMS_EXPECTS(!aggregate_.empty());
+      const std::uint8_t tag = channel.spec().format_tag();
+      auto it = encoded_aggregate_.find(tag);
+      if (it == encoded_aggregate_.end())
+        it = encoded_aggregate_.emplace(tag, channel.encode(aggregate_)).first;
+      m.payload = it->second.decoded;
+      m.encoded_bytes = it->second.bytes.size();
+      m.wire_format = tag;
+      if (keep_encoded) m.encoded = it->second.bytes;
+      return m;
+    }
+  }
+  m.payload = disseminate(round, client);
   // A silent PS sends nothing, and its stream does not advance (keyframes
   // are per-frame flags, so a gap desynchronizes nothing). Encoding comes
   // after the tampering: the wire carries what the attack produced.

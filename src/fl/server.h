@@ -62,7 +62,9 @@ class ParameterServer {
   // accepted models in ascending client order (float sums are
   // order-dependent), then clears them. broadcast() is disseminate(round,
   // client) encoded on the PS → client stream (keep_encoded also keeps
-  // the bytes a real transport frames), or nullopt for a silent PS.
+  // the bytes a real transport frames), or nullopt for a silent PS. An
+  // honest PS encodes its aggregate once per stateless encoding and
+  // copies those bytes to every recipient.
   bool accept(net::Message upload);
   void aggregate(std::uint64_t round);
   std::optional<net::Message> broadcast(std::uint64_t round,
@@ -113,6 +115,10 @@ class ParameterServer {
   std::map<std::size_t, ModelVector> accepted_;  // keyed by client
   WireChannelBook uplinks_{WireEncodingSpec{}};    // keyed by client
   WireChannelBook downlinks_{WireEncodingSpec{}};  // keyed by client
+  // An honest PS's aggregate under each stateless encoding (by format
+  // tag), encoded on first broadcast and dropped whenever aggregate_
+  // changes. Attacks and stateful streams encode per recipient.
+  std::map<std::uint8_t, WireEncodeResult> encoded_aggregate_;
 };
 
 // ---- construction shared by every engine ----

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <string>
 
 #include "byz/attack.h"
 #include "byz/attacks.h"
@@ -239,6 +240,95 @@ TEST(ServerRound, ClientEncodingOverridesTheDefault) {
   const std::optional<net::Message> f32 = server.broadcast(0, 2);
   EXPECT_EQ(f32->encoded_bytes, 0u);
   EXPECT_EQ(f32->payload, (std::vector<float>{0.25f, -1.5f, 3.0f}));
+}
+
+// An honest PS encodes each stateless broadcast once per round and copies
+// it to every recipient. Every broadcast must still be exactly what a
+// per-client WireChannel would produce from the current aggregate.
+TEST(ServerRound, EncodeOnceBroadcastsMatchPerClientChannels) {
+  constexpr std::size_t kDim = 200;
+  const std::vector<std::string> specs = {"int8", "int8", "int8",
+                                          "delta+int8", "f32"};
+  ParameterServer server(0, nullptr, core::Rng(11));
+  std::vector<WireChannel> fresh;
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    server.set_client_encoding(k, wire_encoding_spec(specs[k]));
+    fresh.emplace_back(wire_encoding_spec(specs[k]));
+  }
+  core::Rng rng(12);
+  const auto random_model = [&rng] {
+    std::vector<float> model(kDim);
+    for (float& x : model) x = float(rng.normal(0.0, 1.0));
+    return model;
+  };
+  server.set_initial_model(random_model());
+
+  // Broadcasts every client its model for `round`, checks each against
+  // its fresh channel, and returns client 0's (int8) payload.
+  const auto broadcast_all = [&](std::uint64_t round) {
+    std::vector<float> int8_payload;
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      SCOPED_TRACE("round " + std::to_string(round) + " client " +
+                   std::to_string(k));
+      const std::optional<net::Message> m =
+          server.broadcast(round, k, /*keep_encoded=*/true);
+      EXPECT_TRUE(m.has_value());
+      if (!m.has_value()) continue;
+      if (fresh[k].spec().is_f32()) {
+        EXPECT_TRUE(bits_equal(m->payload, server.honest_aggregate()));
+        EXPECT_EQ(m->encoded_bytes, 0u);
+        EXPECT_TRUE(m->encoded.empty());
+      } else {
+        const WireEncodeResult want =
+            fresh[k].encode(server.honest_aggregate());
+        EXPECT_EQ(m->wire_format, fresh[k].spec().format_tag());
+        EXPECT_EQ(m->encoded, want.bytes);
+        EXPECT_EQ(m->encoded_bytes, want.bytes.size());
+        EXPECT_TRUE(bits_equal(m->payload, want.decoded));
+      }
+      if (k == 0) int8_payload = m->payload;
+    }
+    return int8_payload;
+  };
+
+  const std::vector<float> initial = broadcast_all(0);
+  const ParameterServer::Snapshot snapshot = server.snapshot();
+
+  for (std::size_t k = 0; k < specs.size(); ++k)
+    EXPECT_TRUE(server.accept(upload_from(k, random_model())));
+  server.aggregate(1);
+  const std::vector<float> aggregated = broadcast_all(1);
+  EXPECT_FALSE(bits_equal(aggregated, initial));
+  // A second broadcast of the same round reuses the encoding.
+  EXPECT_TRUE(bits_equal(broadcast_all(1), aggregated));
+
+  server.restore(snapshot);
+  EXPECT_TRUE(bits_equal(broadcast_all(2), initial));
+
+  server.aggregate_round(3, {random_model()});
+  EXPECT_FALSE(bits_equal(broadcast_all(3), initial));
+
+  server.reset_state();
+  EXPECT_TRUE(bits_equal(broadcast_all(4), initial));
+
+  server.set_initial_model(random_model());
+  EXPECT_FALSE(bits_equal(broadcast_all(5), initial));
+}
+
+TEST(ServerRound, ByzantinePsStillEncodesPerRecipient) {
+  ParameterServer server(0, byz::make_attack("noise"), core::Rng(13));
+  server.set_wire_encoding(wire_encoding_spec("int8"));
+  server.set_initial_model(std::vector<float>(64, 1.0f));
+  const std::optional<net::Message> a = server.broadcast(0, 0, true);
+  const std::optional<net::Message> b = server.broadcast(0, 1, true);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_FALSE(bits_equal(a->payload, b->payload));
+  EXPECT_NE(a->encoded, b->encoded);
+  WireChannel client(wire_encoding_spec("int8"));
+  EXPECT_TRUE(bits_equal(client.decode(a->wire_format, a->encoded),
+                         a->payload));
+  EXPECT_TRUE(bits_equal(client.decode(b->wire_format, b->encoded),
+                         b->payload));
 }
 
 TEST(ServerRound, MakeParameterServerBroadcastsInTheConfiguredEncoding) {

@@ -7,6 +7,7 @@
 #include "core/rng.h"
 #include "fl/wire_encoding.h"
 #include "net/message.h"
+#include "testing/test_seed.h"
 
 namespace fedms::transport {
 namespace {
@@ -46,6 +47,49 @@ TEST(Crc32c, KnownAnswer) {
   const char* input = "123456789";
   EXPECT_EQ(crc32c(reinterpret_cast<const std::uint8_t*>(input), 9),
             0xE3069283u);
+}
+
+// RFC 3720 appendix B.4: the iSCSI CRC32C test vectors.
+TEST(Crc32c, Rfc3720Vectors) {
+  std::uint8_t zeros[32], ones[32], ascending[32], descending[32];
+  for (std::size_t i = 0; i < 32; ++i) {
+    zeros[i] = 0x00;
+    ones[i] = 0xFF;
+    ascending[i] = std::uint8_t(i);
+    descending[i] = std::uint8_t(31 - i);
+  }
+  for (const auto crc : {&crc32c, &core::crc32c_reference}) {
+    EXPECT_EQ(crc(zeros, 32, 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones, 32, 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending, 32, 0), 0x46DD794Eu);
+    EXPECT_EQ(crc(descending, 32, 0), 0x113FDB5Cu);
+  }
+}
+
+// The dispatched CRC (the SSE4.2 word loop where the host has it) against
+// the byte table it replaced: every length across the word/tail split, at
+// every alignment, from random seeds, and chained at every split point.
+TEST(Crc32c, DispatchedMatchesTableOracle) {
+  const std::uint64_t seed = fedms::testing::test_seed(0xC3C32Cu);
+  SCOPED_TRACE(fedms::testing::seed_repro_hint(
+      seed, "Crc32c.DispatchedMatchesTableOracle"));
+  core::Rng rng(seed);
+  std::vector<std::uint8_t> buffer(1100 + 8);
+  for (std::uint8_t& byte : buffer) byte = std::uint8_t(rng.uniform_index(256));
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t size = 0; size <= 1100; ++size) {
+      const auto start = std::uint32_t(rng.uniform_index(1ull << 32));
+      const std::uint8_t* data = buffer.data() + offset;
+      ASSERT_EQ(crc32c(data, size, start),
+                core::crc32c_reference(data, size, start))
+          << "offset " << offset << " size " << size << " seed " << start;
+    }
+
+  const std::uint8_t* data = buffer.data();
+  const std::uint32_t whole = core::crc32c_reference(data, 300);
+  for (std::size_t split = 0; split <= 300; ++split)
+    ASSERT_EQ(crc32c(data + split, 300 - split, crc32c(data, split)), whole)
+        << "split " << split;
 }
 
 TEST(Crc32c, EmptyIsZero) { EXPECT_EQ(crc32c(nullptr, 0), 0u); }

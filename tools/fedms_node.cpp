@@ -280,20 +280,25 @@ void print_summary(const NodeCli& cli,
       static_cast<unsigned long long>(summary.corrupt_frames()));
   std::printf("link,role,index,peer_role,peer_index,data_msgs,data_bytes,"
               "control_msgs,control_bytes,corrupt_frames\n");
+  // Both directions: corrupt frames are counted where they are rejected,
+  // on the receiving side's links.
   const auto print_links = [](const transport::NodeReport& node) {
     const char* role =
         node.self.kind == net::NodeKind::kClient ? "client" : "server";
-    for (const auto& [peer, link] : node.stats.sent) {
-      const char* peer_role =
-          peer.kind == net::NodeKind::kClient ? "client" : "server";
-      std::printf("sent,%s,%zu,%s,%zu,%llu,%llu,%llu,%llu,%llu\n", role,
-                  node.self.index, peer_role, peer.index,
-                  static_cast<unsigned long long>(link.messages),
-                  static_cast<unsigned long long>(link.bytes),
-                  static_cast<unsigned long long>(link.control_messages),
-                  static_cast<unsigned long long>(link.control_bytes),
-                  static_cast<unsigned long long>(link.corrupt_frames));
-    }
+    for (const auto& [direction, links] :
+         {std::pair{"sent", &node.stats.sent},
+          std::pair{"received", &node.stats.received}})
+      for (const auto& [peer, link] : *links) {
+        const char* peer_role =
+            peer.kind == net::NodeKind::kClient ? "client" : "server";
+        std::printf("%s,%s,%zu,%s,%zu,%llu,%llu,%llu,%llu,%llu\n",
+                    direction, role, node.self.index, peer_role, peer.index,
+                    static_cast<unsigned long long>(link.messages),
+                    static_cast<unsigned long long>(link.bytes),
+                    static_cast<unsigned long long>(link.control_messages),
+                    static_cast<unsigned long long>(link.control_bytes),
+                    static_cast<unsigned long long>(link.corrupt_frames));
+      }
   };
   for (const auto& node : summary.clients) print_links(node);
   for (const auto& node : summary.servers) print_links(node);
